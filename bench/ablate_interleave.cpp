@@ -42,65 +42,7 @@ namespace {
 constexpr std::size_t kLlcBytes = 1 << 20;  // §3.3 / §3.4 sizing target
 
 using hybrids::bench::now_ns;
-
-struct RunResult {
-  double mops = 0;
-  std::uint64_t checksum = 0;  // folded results: cross-checks arms, defeats DCE
-};
-
-/// One blocking op from the stream: the depth-1 baseline body, identical to
-/// the figure benches.
-template <typename DS>
-std::uint64_t run_blocking_op(DS& ds, const hw::Op& op,
-                              std::vector<hybrids::ScanEntry>& buf,
-                              std::uint32_t t) {
-  switch (op.type) {
-    case hw::OpType::kScan: {
-      const std::size_t n = ds.scan(op.key, op.scan_len, buf.data(), t);
-      std::uint64_t sum = 0;
-      for (std::size_t j = 0; j < n; ++j) sum += buf[j].key;
-      return sum;
-    }
-    case hw::OpType::kInsert:
-      return ds.insert(op.key, op.value, t);
-    case hw::OpType::kRemove:
-      return ds.remove(op.key, t);
-    default: {
-      hybrids::Value v = 0;
-      return ds.read(op.key, v, t) ? v : 0;
-    }
-  }
-}
-
-#if !defined(HYBRIDS_NO_INTERLEAVE)
-
-/// One coroutine op: same dispatch as run_blocking_op but through the _co
-/// entry points, so descents yield at prefetch points and publication waits
-/// park the traversal. `buf` is per-slot — interleaved scans on one thread
-/// must not share a result buffer.
-template <typename DS>
-hh::CoTask<std::uint64_t> run_co_op(DS& ds, const hw::Op op,
-                                    std::vector<hybrids::ScanEntry>& buf,
-                                    std::uint32_t t) {
-  switch (op.type) {
-    case hw::OpType::kScan: {
-      const std::size_t n =
-          co_await ds.scan_co(op.key, op.scan_len, buf.data(), t);
-      std::uint64_t sum = 0;
-      for (std::size_t j = 0; j < n; ++j) sum += buf[j].key;
-      co_return sum;
-    }
-    case hw::OpType::kInsert:
-      co_return co_await ds.insert_co(op.key, op.value, t);
-    case hw::OpType::kRemove:
-      co_return co_await ds.remove_co(op.key, t);
-    default: {
-      hybrids::Value v = 0;
-      const bool ok = co_await ds.read_co(op.key, &v, t);
-      co_return ok ? v : 0;
-    }
-  }
-}
+using hybrids::bench::RunResult;
 
 /// Pump loop: keep up to `depth` ops in flight through one Frame. Fills free
 /// slots from the stream, steps the frame (one resume or one bounded futex
@@ -110,14 +52,15 @@ std::uint64_t pump(DS& ds, hw::OpStream& stream, std::uint32_t depth,
                    std::uint64_t total_ops, std::uint32_t scan_buf_len,
                    std::uint32_t t) {
   hh::Frame frame(depth);
-  std::vector<std::optional<hh::CoTask<std::uint64_t>>> inflight(depth);
+  std::vector<std::optional<hh::CoTask<hb::OpOutcome>>> inflight(depth);
   std::vector<std::vector<hybrids::ScanEntry>> bufs(depth);
   for (auto& b : bufs) b.resize(scan_buf_len);
   std::uint64_t issued = 0, completed = 0, sum = 0;
   while (completed < total_ops) {
     for (std::uint32_t i = 0; i < depth && issued < total_ops; ++i) {
       if (inflight[i]) continue;
-      inflight[i].emplace(run_co_op(ds, stream.next(), bufs[i], t));
+      inflight[i].emplace(
+          hb::apply_op_co(ds, stream.next(), bufs[i].data(), t));
       if (!frame.submit(inflight[i]->handle())) {
         inflight[i].reset();  // frame full (impossible at depth slots)
         break;
@@ -127,7 +70,7 @@ std::uint64_t pump(DS& ds, hw::OpStream& stream, std::uint32_t depth,
     frame.step();
     for (std::uint32_t i = 0; i < depth; ++i) {
       if (inflight[i] && inflight[i]->done()) {
-        sum += inflight[i]->result();
+        sum += inflight[i]->result().sum;
         inflight[i].reset();
         ++completed;
       }
@@ -135,8 +78,6 @@ std::uint64_t pump(DS& ds, hw::OpStream& stream, std::uint32_t depth,
   }
   return sum;
 }
-
-#endif  // !HYBRIDS_NO_INTERLEAVE
 
 /// One timed multi-threaded run at the given frame depth. Depth 1 runs the
 /// blocking paths (the baseline); deeper arms run the coroutine pump.
@@ -158,7 +99,7 @@ RunResult run_threads(DS& ds, const hw::WorkloadSpec& spec,
       // YCSB-E's insert frontier, and keeping it identical across arms keeps
       // the measured streams aligned.
       for (std::uint64_t i = 0; i < warmup_per_thread; ++i) {
-        (void)run_blocking_op(ds, stream.next(), buf, t);
+        (void)hb::apply_op(ds, stream.next(), buf.data(), t);
       }
       ready.fetch_add(1);
       while (ready.load() < threads) std::this_thread::yield();
@@ -166,12 +107,10 @@ RunResult run_threads(DS& ds, const hw::WorkloadSpec& spec,
       std::uint64_t my_sum = 0;
       if (depth <= 1) {
         for (std::uint64_t i = 0; i < ops_per_thread; ++i) {
-          my_sum += run_blocking_op(ds, stream.next(), buf, t);
+          my_sum += hb::apply_op(ds, stream.next(), buf.data(), t).sum;
         }
       } else {
-#if !defined(HYBRIDS_NO_INTERLEAVE)
         my_sum = pump(ds, stream, depth, ops_per_thread, spec.max_scan_len, t);
-#endif
       }
       checksum.fetch_add(my_sum, std::memory_order_relaxed);
     });
@@ -210,11 +149,6 @@ int main(int argc, char** argv) {
   hb::Options opt = hb::parse_options(argc, argv);
   hb::StatsSession stats(opt);
 
-  if (!hh::kInterleaveCompiledIn) {
-    std::cerr << "note: built with HYBRIDS_NO_INTERLEAVE — only the depth-1 "
-                 "(blocking) arm can run; deeper arms are skipped\n";
-  }
-
   const std::uint64_t keys =
       opt.keys ? opt.keys : (opt.full ? 1ull << 20 : 1ull << 16);
   const std::uint32_t threads = opt.threads.empty() ? 1 : opt.threads.front();
@@ -233,10 +167,6 @@ int main(int argc, char** argv) {
 
   std::vector<Arm> arms;
   for (const std::uint32_t depth : opt.depths) {
-    if (depth > 1 && !hh::kInterleaveCompiledIn) {
-      arms.emplace_back();  // zero row: printed as skipped below
-      continue;
-    }
     Arm arm;
     {
       hd::HybridSkipList::Config cfg;
@@ -286,7 +216,6 @@ int main(int argc, char** argv) {
   }
   if (base_idx < arms.size()) {
     for (std::size_t i = 0; i < arms.size(); ++i) {
-      if (opt.depths[i] > 1 && !hh::kInterleaveCompiledIn) continue;
       if (arms[i].sl_c.checksum != arms[base_idx].sl_c.checksum ||
           arms[i].bt_c.checksum != arms[base_idx].bt_c.checksum) {
         std::cerr << "BUG: YCSB-C checksum differs between depth "
@@ -302,11 +231,6 @@ int main(int argc, char** argv) {
                               "bt ycsb-c Mops/s", "bt speedup"});
   const Arm& base = base_idx < arms.size() ? arms[base_idx] : arms.front();
   for (std::size_t i = 0; i < arms.size(); ++i) {
-    if (opt.depths[i] > 1 && !hh::kInterleaveCompiledIn) {
-      table.new_row().add_cell(std::to_string(opt.depths[i]) +
-                               " (skipped: compiled out)");
-      continue;
-    }
     const Arm& a = arms[i];
     table.new_row()
         .add_cell(std::to_string(opt.depths[i]))
@@ -321,7 +245,7 @@ int main(int argc, char** argv) {
 
   if (base_idx < arms.size()) {
     for (std::size_t i = 0; i < arms.size(); ++i) {
-      if (opt.depths[i] == 8 && hh::kInterleaveCompiledIn) {
+      if (opt.depths[i] == 8) {
         std::cout << "\ndepth-8 zipfian-read speedup vs blocking: "
                   << arms[i].sl_c.mops / base.sl_c.mops << "x (skiplist), "
                   << arms[i].bt_c.mops / base.bt_c.mops << "x (btree)\n";

@@ -68,6 +68,7 @@
 #include <unistd.h>
 #endif
 
+#include "hybrids/host/interleave.hpp"
 #include "hybrids/nmp/fault.hpp"
 #include "hybrids/telemetry/export.hpp"
 #include "hybrids/telemetry/timeline.hpp"
@@ -375,6 +376,76 @@ inline std::vector<Key> zipfian_probe_keys(std::size_t count,
   return probes;
 }
 
+/// What one workload op returned, folded so arms can cross-check checksums.
+struct OpOutcome {
+  std::uint64_t sum = 0;    // read: value on a hit; writes: 1 on success;
+                            // scan: sum of the returned keys
+  std::size_t scanned = 0;  // kScan: entries written
+};
+
+inline void fold_scan(const ScanEntry* buf, std::size_t n, OpOutcome& o) {
+  o.scanned = n;
+  for (std::size_t j = 0; j < n; ++j) o.sum += buf[j].key;
+}
+
+/// The one dispatcher every op-mix bench sends stream ops through: each of
+/// the five op types reaches its own blocking entry point of `ds`. `buf`
+/// holds at least op.scan_len entries.
+template <typename DS>
+OpOutcome apply_op(DS& ds, const workload::Op& op, ScanEntry* buf,
+                   std::uint32_t tid) {
+  OpOutcome o;
+  switch (op.type) {
+    case workload::OpType::kRead: {
+      Value v = 0;
+      if (ds.read(op.key, v, tid)) o.sum = v;
+      break;
+    }
+    case workload::OpType::kUpdate:
+      o.sum = ds.update(op.key, op.value, tid);
+      break;
+    case workload::OpType::kInsert:
+      o.sum = ds.insert(op.key, op.value, tid);
+      break;
+    case workload::OpType::kRemove:
+      o.sum = ds.remove(op.key, tid);
+      break;
+    case workload::OpType::kScan:
+      fold_scan(buf, ds.scan(op.key, op.scan_len, buf, tid), o);
+      break;
+  }
+  return o;
+}
+
+/// apply_op through the `_co` entry points, for ops driven by a host::Frame.
+/// `op` is taken by value (the coroutine outlives the caller's temporary);
+/// interleaved scans on one thread need one `buf` per in-flight op.
+template <typename DS>
+host::CoTask<OpOutcome> apply_op_co(DS& ds, workload::Op op, ScanEntry* buf,
+                                    std::uint32_t tid) {
+  OpOutcome o;
+  switch (op.type) {
+    case workload::OpType::kRead: {
+      Value v = 0;
+      if (co_await ds.read_co(op.key, &v, tid)) o.sum = v;
+      break;
+    }
+    case workload::OpType::kUpdate:
+      o.sum = co_await ds.update_co(op.key, op.value, tid);
+      break;
+    case workload::OpType::kInsert:
+      o.sum = co_await ds.insert_co(op.key, op.value, tid);
+      break;
+    case workload::OpType::kRemove:
+      o.sum = co_await ds.remove_co(op.key, tid);
+      break;
+    case workload::OpType::kScan:
+      fold_scan(buf, co_await ds.scan_co(op.key, op.scan_len, buf, tid), o);
+      break;
+  }
+  co_return o;
+}
+
 /// Folded results of one timed run: throughput plus a checksum that
 /// cross-checks the arms of an ablation and defeats dead-code elimination.
 struct RunResult {
@@ -383,9 +454,10 @@ struct RunResult {
 };
 
 /// One timed multi-threaded run of `spec` against `ds` (any structure with
-/// the read/insert/remove/scan(part) shape of the hybrid lists). Same shape
-/// as the figure benches: per-thread deterministic OpStreams, warmup untimed,
-/// rough start barrier, wall-clock Mops/s, results folded into the checksum.
+/// the read/update/insert/remove/scan shape of the hybrid structures). Same
+/// shape as the figure benches: per-thread deterministic OpStreams, warmup
+/// untimed, rough start barrier, wall-clock Mops/s, results folded into the
+/// checksum.
 template <typename DS>
 RunResult run_op_mix(DS& ds, const workload::WorkloadSpec& spec,
                      std::uint32_t threads, std::uint64_t warmup_per_thread,
@@ -401,25 +473,7 @@ RunResult run_op_mix(DS& ds, const workload::WorkloadSpec& spec,
       std::vector<ScanEntry> buf(spec.max_scan_len);
       std::uint64_t my_sum = 0;
       auto run_one = [&] {
-        const workload::Op op = stream.next();
-        switch (op.type) {
-          case workload::OpType::kScan: {
-            const std::size_t n = ds.scan(op.key, op.scan_len, buf.data(), t);
-            for (std::size_t j = 0; j < n; ++j) my_sum += buf[j].key;
-            break;
-          }
-          case workload::OpType::kInsert:
-            my_sum += ds.insert(op.key, op.value, t);
-            break;
-          case workload::OpType::kRemove:
-            my_sum += ds.remove(op.key, t);
-            break;
-          default: {
-            Value v = 0;
-            if (ds.read(op.key, v, t)) my_sum += v;
-            break;
-          }
-        }
+        my_sum += apply_op(ds, stream.next(), buf.data(), t).sum;
       };
       for (std::uint64_t i = 0; i < warmup_per_thread; ++i) run_one();
       ready.fetch_add(1);

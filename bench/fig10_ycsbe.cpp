@@ -44,8 +44,8 @@ struct RunResult {
 };
 
 /// Drives `threads` OpStreams against `ds` (HybridSkipList or HybridBTree —
-/// both expose insert/scan with the same shape). Warmup ops are run first and
-/// not timed.
+/// both expose the entry points hb::apply_op dispatches to). Warmup ops are
+/// run first and not timed.
 template <typename DS>
 RunResult run_threads(DS& ds, const hw::WorkloadSpec& spec,
                       std::uint32_t threads, std::uint64_t warmup_per_thread,
@@ -64,26 +64,10 @@ RunResult run_threads(DS& ds, const hw::WorkloadSpec& spec,
       std::uint64_t my_entries = 0;
       auto run_one = [&](bool measured) {
         const hw::Op op = stream.next();
-        switch (op.type) {
-          case hw::OpType::kScan: {
-            const std::size_t n = ds.scan(op.key, op.scan_len, buf.data(), t);
-            if (measured) {
-              ++my_scans;
-              my_entries += n;
-            }
-            break;
-          }
-          case hw::OpType::kInsert:
-            (void)ds.insert(op.key, op.value, t);
-            break;
-          case hw::OpType::kRemove:
-            (void)ds.remove(op.key, t);
-            break;
-          default: {
-            hybrids::Value v = 0;
-            (void)ds.read(op.key, v, t);
-            break;
-          }
+        const hb::OpOutcome o = hb::apply_op(ds, op, buf.data(), t);
+        if (measured && op.type == hw::OpType::kScan) {
+          ++my_scans;
+          my_entries += o.scanned;
         }
       };
       for (std::uint64_t i = 0; i < warmup_per_thread; ++i) run_one(false);

@@ -201,7 +201,6 @@ class FatSkipList {
     return finish_view(pos, key, out);
   }
 
-#if !defined(HYBRIDS_NO_INTERLEAVE)
   /// Coroutine twin: prefetch-and-yield once per visited node (the whole
   /// two-line node, not per key) so sibling traversals in the frame overlap
   /// the line fills. Rightward B-link hops prefetch without yielding — they
@@ -222,7 +221,6 @@ class FatSkipList {
     keys_scanned_->add(scanned);
     co_return finish_view(pos, key, *out);
   }
-#endif
 
   /// Wait-free-ish point lookup of the resident entry for `key` (nullptr on
   /// miss). The returned pointer is only stable under the caller's EbrGuard.

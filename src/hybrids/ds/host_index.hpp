@@ -94,7 +94,6 @@ class HostIndex {
     return hit;
   }
 
-#if !defined(HYBRIDS_NO_INTERLEAVE)
   host::CoTask<bool> find_co(Key key, Window* w) {
 #if !defined(HYBRIDS_NO_FATNODE)
     if (fat_) {
@@ -113,7 +112,6 @@ class HostIndex {
     w->leaf_version = 0;
     co_return hit;
   }
-#endif
 
   Node* get_node(Key key) {
 #if !defined(HYBRIDS_NO_FATNODE)

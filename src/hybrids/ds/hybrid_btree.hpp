@@ -193,20 +193,46 @@ class HybridBTree {
     bool bounded = false; // false: begin is the rightmost subtree
   };
 
-  // ----- blocking operations ------------------------------------------------
+  // ----- operations ---------------------------------------------------------
+  //
+  // Each operation has exactly one body, its coroutine (docs/INTERLEAVING.md).
+  // Under a host::Frame the inner-node descent suspends after each
+  // whole-node prefetch (traverse_co) and the publication round-trip parks
+  // on its slot (host::offload). The blocking entry points run the same body
+  // through host::run_inline, where no awaiter suspends and host::offload is
+  // the plain blocking call. The LOCK_PATH escalation of insert_co stays
+  // blocking (complete_escalated_insert): escalations are rare structural
+  // changes already serialized by host-side locks.
 
   bool read(Key key, Value& out, std::uint32_t tid) {
+    return host::run_inline(read_co(key, &out, tid));
+  }
+  bool update(Key key, Value value, std::uint32_t tid) {
+    return host::run_inline(update_co(key, value, tid));
+  }
+  bool insert(Key key, Value value, std::uint32_t tid) {
+    return host::run_inline(insert_co(key, value, tid));
+  }
+  bool remove(Key key, std::uint32_t tid) {
+    return host::run_inline(remove_co(key, tid));
+  }
+  std::size_t scan(Key start, std::size_t count, ScanEntry* out,
+                   std::uint32_t tid) {
+    return host::run_inline(scan_co(start, count, out, tid));
+  }
+
+  host::CoTask<bool> read_co(Key key, Value* out, std::uint32_t tid) {
     RetryBudget budget(*this);
     const trace::OpToken tok = trace::begin_op();
     constexpr auto op8 = static_cast<std::uint8_t>(nmp::OpCode::kRead);
-    if (cache_ != nullptr && cache_->lookup_value(key, out)) {
+    if (cache_ != nullptr && cache_->lookup_value(key, *out)) {
       // Hot key: served from the value tier, no tree touched at all.
       if (tok.sampled()) {
         const std::uint64_t now = telemetry::now_ns();
         trace::record_instant(tok.id, trace::Phase::kCacheLookup, now, op8, -1);
         trace::end_op(tok, now, op8, -1, /*offloaded=*/false);
       }
-      return true;
+      co_return true;
     }
     while (true) {
       const std::uint64_t d0 = tok.sampled() ? telemetry::now_ns() : 0;
@@ -231,7 +257,7 @@ class HybridBTree {
         trace::record_instant(tok.id, trace::Phase::kCacheLookup, d0, op8,
                               static_cast<std::int16_t>(part));
       } else {
-        if (!traverse(key, frame)) continue;
+        if (!co_await traverse_co(key, frame)) continue;
         part = frame.partition;
         trace::record_span(tok.id, trace::Phase::kHostDescend, d0,
                            tok.sampled() ? telemetry::now_ns() : 0, op8,
@@ -240,7 +266,7 @@ class HybridBTree {
       }
       const auto part16 = static_cast<std::int16_t>(part);
       const std::uint64_t gen0 = cache_gen(part);
-      nmp::Response r = set_.call(part, tid, req);
+      nmp::Response r = co_await host::offload(set_, part, tid, req);
       if (must_retry(r)) {
         on_retry_response(r, part, key, from_shortcut);
         trace::record_instant(tok.id, trace::Phase::kRetry,
@@ -249,7 +275,7 @@ class HybridBTree {
         budget.note_retry();
         continue;
       }
-      out = r.value;
+      *out = r.value;
       if (cache_ != nullptr && r.ok) {
         // r.aux echoes the partition's current version for reads, ordering
         // this fill against every write version the combiner issued.
@@ -263,11 +289,11 @@ class HybridBTree {
         trace::end_op(tok, telemetry::now_ns(), op8, part16,
                       /*offloaded=*/true);
       }
-      return r.ok;
+      co_return r.ok;
     }
   }
 
-  bool update(Key key, Value value, std::uint32_t tid) {
+  host::CoTask<bool> update_co(Key key, Value value, std::uint32_t tid) {
     RetryBudget budget(*this);
     const trace::OpToken tok = trace::begin_op();
     constexpr auto op8 = static_cast<std::uint8_t>(nmp::OpCode::kUpdate);
@@ -293,7 +319,7 @@ class HybridBTree {
         trace::record_instant(tok.id, trace::Phase::kCacheLookup, d0, op8,
                               static_cast<std::int16_t>(part));
       } else {
-        if (!traverse(key, frame)) continue;
+        if (!co_await traverse_co(key, frame)) continue;
         part = frame.partition;
         trace::record_span(tok.id, trace::Phase::kHostDescend, d0,
                            tok.sampled() ? telemetry::now_ns() : 0, op8,
@@ -302,7 +328,7 @@ class HybridBTree {
       }
       const auto part16 = static_cast<std::int16_t>(part);
       const std::uint64_t gen0 = cache_gen(part);
-      nmp::Response r = set_.call(part, tid, req);
+      nmp::Response r = co_await host::offload(set_, part, tid, req);
       if (must_retry(r)) {
         on_retry_response(r, part, key, from_shortcut);
         trace::record_instant(tok.id, trace::Phase::kRetry,
@@ -325,23 +351,24 @@ class HybridBTree {
         trace::end_op(tok, telemetry::now_ns(), op8, part16,
                       /*offloaded=*/true);
       }
-      return r.ok;
+      co_return r.ok;
     }
   }
 
-  bool remove(Key key, std::uint32_t tid) {
+  host::CoTask<bool> remove_co(Key key, std::uint32_t tid) {
     RetryBudget budget(*this);
     const trace::OpToken tok = trace::begin_op();
     constexpr auto op8 = static_cast<std::uint8_t>(nmp::OpCode::kRemove);
     while (true) {
       const std::uint64_t d0 = tok.sampled() ? telemetry::now_ns() : 0;
       Frame frame;
-      if (!traverse(key, frame)) continue;
+      if (!co_await traverse_co(key, frame)) continue;
       const auto part16 = static_cast<std::int16_t>(frame.partition);
       trace::record_span(tok.id, trace::Phase::kHostDescend, d0,
                          tok.sampled() ? telemetry::now_ns() : 0, op8, part16);
-      nmp::Response r =
-          offload(nmp::OpCode::kRemove, key, 0, frame, tid, tok.id);
+      nmp::Response r = co_await host::offload(
+          set_, frame.partition, tid,
+          make_request(nmp::OpCode::kRemove, key, 0, frame, tok.id));
       if (must_retry(r)) {
         on_retry_response(r, frame.partition, key, false);
         trace::record_instant(tok.id, trace::Phase::kRetry,
@@ -357,23 +384,24 @@ class HybridBTree {
         trace::end_op(tok, telemetry::now_ns(), op8, part16,
                       /*offloaded=*/true);
       }
-      return r.ok;
+      co_return r.ok;
     }
   }
 
-  bool insert(Key key, Value value, std::uint32_t tid) {
+  host::CoTask<bool> insert_co(Key key, Value value, std::uint32_t tid) {
     RetryBudget budget(*this);
     const trace::OpToken tok = trace::begin_op();
     constexpr auto op8 = static_cast<std::uint8_t>(nmp::OpCode::kInsert);
     while (true) {
       const std::uint64_t d0 = tok.sampled() ? telemetry::now_ns() : 0;
       Frame frame;
-      if (!traverse(key, frame)) continue;
+      if (!co_await traverse_co(key, frame)) continue;
       const auto part16 = static_cast<std::int16_t>(frame.partition);
       trace::record_span(tok.id, trace::Phase::kHostDescend, d0,
                          tok.sampled() ? telemetry::now_ns() : 0, op8, part16);
-      nmp::Response r =
-          offload(nmp::OpCode::kInsert, key, value, frame, tid, tok.id);
+      nmp::Response r = co_await host::offload(
+          set_, frame.partition, tid,
+          make_request(nmp::OpCode::kInsert, key, value, frame, tok.id));
       if (must_retry(r)) {
         on_retry_response(r, frame.partition, key, false);
         trace::record_instant(tok.id, trace::Phase::kRetry,
@@ -390,7 +418,7 @@ class HybridBTree {
           trace::end_op(tok, telemetry::now_ns(), op8, part16,
                         /*offloaded=*/true);
         }
-        return r.ok;
+        co_return r.ok;
       }
       lock_path_->inc();
       // LOCK_PATH escalation (Listing 4 lines 26-43). The escalation legs
@@ -403,7 +431,7 @@ class HybridBTree {
           trace::end_op(tok, telemetry::now_ns(), op8, part16,
                         /*offloaded=*/true);
         }
-        return done;
+        co_return done;
       }
       // Host-side locking failed; the NMP path was unlocked on our behalf.
     }
@@ -424,8 +452,8 @@ class HybridBTree {
   /// ranges, so the result is sorted with no duplicates, every key >= start,
   /// and every returned pair was present at some point during the scan.
   /// Returns the number of entries written.
-  std::size_t scan(Key start, std::size_t count, ScanEntry* out,
-                   std::uint32_t tid) {
+  host::CoTask<std::size_t> scan_co(Key start, std::size_t count,
+                                    ScanEntry* out, std::uint32_t tid) {
     std::size_t filled = 0;
     Key cur = start;
     RetryBudget budget(*this);
@@ -438,7 +466,7 @@ class HybridBTree {
     while (filled < count) {
       const std::uint64_t c0 = tok.sampled() ? telemetry::now_ns() : 0;
       Frame frame;
-      if (!traverse(cur, frame)) continue;
+      if (!co_await traverse_co(cur, frame)) continue;
       part16 = static_cast<std::int16_t>(frame.partition);
       trace::record_span(tok.id, trace::Phase::kHostDescend, c0,
                          tok.sampled() ? telemetry::now_ns() : 0, op8, part16);
@@ -448,7 +476,8 @@ class HybridBTree {
       nmp::Request r = make_request(nmp::OpCode::kScan, cur,
                                     static_cast<Value>(want), frame, tok.id);
       r.host_node = out + filled;
-      nmp::Response resp = set_.call(frame.partition, tid, r);
+      nmp::Response resp =
+          co_await host::offload(set_, frame.partition, tid, r);
       offloaded = true;
       // One stitched chunk, retries included; the transport phases above
       // nest under it on the timeline.
@@ -481,285 +510,9 @@ class HybridBTree {
     if (tok.sampled()) {
       trace::end_op(tok, telemetry::now_ns(), op8, part16, offloaded);
     }
-    return filled;
-  }
-
-#if !defined(HYBRIDS_NO_INTERLEAVE)
-  // ----- coroutine-interleaved operations (docs/INTERLEAVING.md) -----------
-  //
-  // Twins of the blocking operations for callers driving a host::Frame: the
-  // inner-node descent suspends after each whole-node prefetch
-  // (traverse_co) and the publication round-trip parks on
-  // suspend_until_done. Semantics match the blocking twins — same seqlock
-  // validation/climb, same retry budget and trace spans, same failover
-  // handling. The LOCK_PATH escalation of insert_co intentionally stays
-  // blocking (complete_escalated_insert): escalations are rare structural
-  // changes already serialized by host-side locks, not worth a coroutine
-  // variant of the two-phase protocol.
-
-  host::CoTask<bool> read_co(Key key, Value* out, std::uint32_t tid) {
-    RetryBudget budget(*this);
-    const trace::OpToken tok = trace::begin_op();
-    constexpr auto op8 = static_cast<std::uint8_t>(nmp::OpCode::kRead);
-    if (cache_ != nullptr && cache_->lookup_value(key, *out)) {
-      if (tok.sampled()) {
-        const std::uint64_t now = telemetry::now_ns();
-        trace::record_instant(tok.id, trace::Phase::kCacheLookup, now, op8, -1);
-        trace::end_op(tok, now, op8, -1, /*offloaded=*/false);
-      }
-      co_return true;
-    }
-    while (true) {
-      const std::uint64_t d0 = tok.sampled() ? telemetry::now_ns() : 0;
-      Frame frame;
-      bool from_shortcut = false;
-      std::uint32_t part = 0;
-      nmp::Request req;
-      cache::HotCache::Shortcut sc;
-      if (cache_ != nullptr && !budget.exhausted() &&
-          cache_->lookup_shortcut(key, sc)) {
-        from_shortcut = true;
-        part = sc.partition;
-        req.op = nmp::OpCode::kRead;
-        req.key = key;
-        req.node = sc.node;
-        req.aux = sc.aux;
-        req.trace_id = tok.id;
-        trace::record_instant(tok.id, trace::Phase::kCacheLookup, d0, op8,
-                              static_cast<std::int16_t>(part));
-      } else {
-        if (!co_await traverse_co(key, frame)) continue;
-        part = frame.partition;
-        trace::record_span(tok.id, trace::Phase::kHostDescend, d0,
-                           tok.sampled() ? telemetry::now_ns() : 0, op8,
-                           static_cast<std::int16_t>(part));
-        req = make_request(nmp::OpCode::kRead, key, 0, frame, tok.id);
-      }
-      const auto part16 = static_cast<std::int16_t>(part);
-      const std::uint64_t gen0 = cache_gen(part);
-      nmp::Response r = co_await call_co(part, tid, req);
-      if (must_retry(r)) {
-        on_retry_response(r, part, key, from_shortcut);
-        trace::record_instant(tok.id, trace::Phase::kRetry,
-                              tok.sampled() ? telemetry::now_ns() : 0, op8,
-                              part16);
-        budget.note_retry();
-        continue;
-      }
-      *out = r.value;
-      if (cache_ != nullptr && r.ok) {
-        cache_->fill_value(key, part, r.value, r.aux, gen0);
-        if (!from_shortcut) {
-          cache_->fill_shortcut(key, part, frame.begin.ptr(),
-                                frame.seqs[last_host_level_], gen0);
-        }
-      }
-      if (tok.sampled()) {
-        trace::end_op(tok, telemetry::now_ns(), op8, part16,
-                      /*offloaded=*/true);
-      }
-      co_return r.ok;
-    }
-  }
-
-  host::CoTask<bool> update_co(Key key, Value value, std::uint32_t tid) {
-    RetryBudget budget(*this);
-    const trace::OpToken tok = trace::begin_op();
-    constexpr auto op8 = static_cast<std::uint8_t>(nmp::OpCode::kUpdate);
-    while (true) {
-      const std::uint64_t d0 = tok.sampled() ? telemetry::now_ns() : 0;
-      Frame frame;
-      bool from_shortcut = false;
-      std::uint32_t part = 0;
-      nmp::Request req;
-      cache::HotCache::Shortcut sc;
-      if (cache_ != nullptr && !budget.exhausted() &&
-          cache_->lookup_shortcut(key, sc)) {
-        from_shortcut = true;
-        part = sc.partition;
-        req.op = nmp::OpCode::kUpdate;
-        req.key = key;
-        req.value = value;
-        req.node = sc.node;
-        req.aux = sc.aux;
-        req.trace_id = tok.id;
-        trace::record_instant(tok.id, trace::Phase::kCacheLookup, d0, op8,
-                              static_cast<std::int16_t>(part));
-      } else {
-        if (!co_await traverse_co(key, frame)) continue;
-        part = frame.partition;
-        trace::record_span(tok.id, trace::Phase::kHostDescend, d0,
-                           tok.sampled() ? telemetry::now_ns() : 0, op8,
-                           static_cast<std::int16_t>(part));
-        req = make_request(nmp::OpCode::kUpdate, key, value, frame, tok.id);
-      }
-      const auto part16 = static_cast<std::int16_t>(part);
-      const std::uint64_t gen0 = cache_gen(part);
-      nmp::Response r = co_await call_co(part, tid, req);
-      if (must_retry(r)) {
-        on_retry_response(r, part, key, from_shortcut);
-        trace::record_instant(tok.id, trace::Phase::kRetry,
-                              tok.sampled() ? telemetry::now_ns() : 0, op8,
-                              part16);
-        budget.note_retry();
-        continue;
-      }
-      if (cache_ != nullptr && r.ok) {
-        cache_->invalidate_value(key, part, r.aux);
-        cache_->fill_value(key, part, value, r.aux, gen0);
-        if (!from_shortcut) {
-          cache_->fill_shortcut(key, part, frame.begin.ptr(),
-                                frame.seqs[last_host_level_], gen0);
-        }
-      }
-      if (tok.sampled()) {
-        trace::end_op(tok, telemetry::now_ns(), op8, part16,
-                      /*offloaded=*/true);
-      }
-      co_return r.ok;
-    }
-  }
-
-  host::CoTask<bool> remove_co(Key key, std::uint32_t tid) {
-    RetryBudget budget(*this);
-    const trace::OpToken tok = trace::begin_op();
-    constexpr auto op8 = static_cast<std::uint8_t>(nmp::OpCode::kRemove);
-    while (true) {
-      const std::uint64_t d0 = tok.sampled() ? telemetry::now_ns() : 0;
-      Frame frame;
-      if (!co_await traverse_co(key, frame)) continue;
-      const auto part16 = static_cast<std::int16_t>(frame.partition);
-      trace::record_span(tok.id, trace::Phase::kHostDescend, d0,
-                         tok.sampled() ? telemetry::now_ns() : 0, op8, part16);
-      nmp::Response r = co_await call_co(
-          frame.partition, tid,
-          make_request(nmp::OpCode::kRemove, key, 0, frame, tok.id));
-      if (must_retry(r)) {
-        on_retry_response(r, frame.partition, key, false);
-        trace::record_instant(tok.id, trace::Phase::kRetry,
-                              tok.sampled() ? telemetry::now_ns() : 0, op8,
-                              part16);
-        budget.note_retry();
-        continue;
-      }
-      if (cache_ != nullptr && r.ok) {
-        cache_->invalidate_value(key, frame.partition, r.aux);
-      }
-      if (tok.sampled()) {
-        trace::end_op(tok, telemetry::now_ns(), op8, part16,
-                      /*offloaded=*/true);
-      }
-      co_return r.ok;
-    }
-  }
-
-  host::CoTask<bool> insert_co(Key key, Value value, std::uint32_t tid) {
-    RetryBudget budget(*this);
-    const trace::OpToken tok = trace::begin_op();
-    constexpr auto op8 = static_cast<std::uint8_t>(nmp::OpCode::kInsert);
-    while (true) {
-      const std::uint64_t d0 = tok.sampled() ? telemetry::now_ns() : 0;
-      Frame frame;
-      if (!co_await traverse_co(key, frame)) continue;
-      const auto part16 = static_cast<std::int16_t>(frame.partition);
-      trace::record_span(tok.id, trace::Phase::kHostDescend, d0,
-                         tok.sampled() ? telemetry::now_ns() : 0, op8, part16);
-      nmp::Response r = co_await call_co(
-          frame.partition, tid,
-          make_request(nmp::OpCode::kInsert, key, value, frame, tok.id));
-      if (must_retry(r)) {
-        on_retry_response(r, frame.partition, key, false);
-        trace::record_instant(tok.id, trace::Phase::kRetry,
-                              tok.sampled() ? telemetry::now_ns() : 0, op8,
-                              part16);
-        budget.note_retry();
-        continue;
-      }
-      if (!r.lock_path) {
-        if (cache_ != nullptr && r.ok) {
-          cache_->invalidate_value(key, frame.partition, r.aux);
-        }
-        if (tok.sampled()) {
-          trace::end_op(tok, telemetry::now_ns(), op8, part16,
-                        /*offloaded=*/true);
-        }
-        co_return r.ok;
-      }
-      lock_path_->inc();
-      bool done = false;
-      if (complete_escalated_insert(frame, r.node, frame.partition, tid, done,
-                                    tok.id)) {
-        if (tok.sampled()) {
-          trace::end_op(tok, telemetry::now_ns(), op8, part16,
-                        /*offloaded=*/true);
-        }
-        co_return done;
-      }
-      // Host-side locking failed; the NMP path was unlocked on our behalf.
-    }
-  }
-
-  /// Coroutine twin of scan(): same chunking, stitching, and retry rules;
-  /// the per-chunk descent (including the stitch hop into the next begin
-  /// subtree) interleaves via traverse_co and each chunk's round-trip parks
-  /// on the publication slot.
-  host::CoTask<std::size_t> scan_co(Key start, std::size_t count,
-                                    ScanEntry* out, std::uint32_t tid) {
-    std::size_t filled = 0;
-    Key cur = start;
-    RetryBudget budget(*this);
-    bool have_part = false;
-    std::uint32_t last_part = 0;
-    const trace::OpToken tok = trace::begin_op();
-    constexpr auto op8 = static_cast<std::uint8_t>(nmp::OpCode::kScan);
-    bool offloaded = false;
-    std::int16_t part16 = -1;
-    while (filled < count) {
-      const std::uint64_t c0 = tok.sampled() ? telemetry::now_ns() : 0;
-      Frame frame;
-      if (!co_await traverse_co(cur, frame)) continue;
-      part16 = static_cast<std::int16_t>(frame.partition);
-      trace::record_span(tok.id, trace::Phase::kHostDescend, c0,
-                         tok.sampled() ? telemetry::now_ns() : 0, op8, part16);
-      const std::size_t want = count - filled < nmp::kScanChunk
-                                   ? count - filled
-                                   : nmp::kScanChunk;
-      nmp::Request r = make_request(nmp::OpCode::kScan, cur,
-                                    static_cast<Value>(want), frame, tok.id);
-      r.host_node = out + filled;
-      nmp::Response resp = co_await call_co(frame.partition, tid, r);
-      offloaded = true;
-      trace::record_span(tok.id, trace::Phase::kScanChunk, c0,
-                         tok.sampled() ? telemetry::now_ns() : 0, op8, part16);
-      if (must_retry(resp)) {
-        if (cache_ != nullptr && resp.failed_over) {
-          cache_->bump_generation(frame.partition);
-        }
-        trace::record_instant(tok.id, trace::Phase::kRetry,
-                              tok.sampled() ? telemetry::now_ns() : 0, op8,
-                              part16);
-        scan_retry_->inc();
-        budget.note_retry();
-        continue;
-      }
-      if (have_part && frame.partition != last_part) scan_hops_->inc();
-      have_part = true;
-      last_part = frame.partition;
-      filled += resp.value;
-      if (resp.has_more) {
-        cur = static_cast<Key>(resp.aux);
-        continue;
-      }
-      if (!frame.bounded) break;  // rightmost subtree — nothing further
-      if (frame.upper == ~Key{0}) break;
-      cur = frame.upper + 1;
-    }
-    if (tok.sampled()) {
-      trace::end_op(tok, telemetry::now_ns(), op8, part16, offloaded);
-    }
     co_return filled;
   }
-#endif  // !HYBRIDS_NO_INTERLEAVE
+
 
   // ----- non-blocking operations (§3.5) --------------------------------------
 
@@ -909,7 +662,7 @@ class HybridBTree {
 
  private:
   /// A failover bounce must re-run the op exactly like an NMP-requested
-  /// retry: the request may not have executed, and the blocking loops
+  /// retry: the request may not have executed, and the operation loops
   /// re-traverse before re-posting. (lock_path is handled separately — the
   /// escalation protocol has its own legs.)
   static bool must_retry(const nmp::Response& r) {
@@ -1035,13 +788,12 @@ class HybridBTree {
     return true;
   }
 
-#if !defined(HYBRIDS_NO_INTERLEAVE)
   /// Coroutine twin of traverse(): same optimistic descent, but the
   /// whole-node prefetch of each child becomes a prefetch_and_yield
   /// suspension so a sibling operation runs while the child's three lines
   /// travel. Seqlock validation happens after the resume — a concurrent
   /// split during the suspension is caught by the same seq_unchanged /
-  /// climb machinery as in the blocking path (host nodes are pool-recycled,
+  /// climb machinery as in traverse() (host nodes are pool-recycled,
   /// never unmapped, so the racy child pointer stays safe to touch).
   host::CoTask<bool> traverse_co(Key key, Frame& frame) const {
     HostBNode* root = root_.load(std::memory_order_acquire);
@@ -1098,18 +850,6 @@ class HybridBTree {
     co_return true;
   }
 
-  /// Publication round-trip for the _co ops: post async and park on the
-  /// slot, falling back to the blocking call when no async slot is free or
-  /// the lane is fenced/leased (call() owns the bounce/lease handling).
-  host::CoTask<nmp::Response> call_co(std::uint32_t partition,
-                                      std::uint32_t tid, nmp::Request req) {
-    nmp::OpHandle h = set_.call_async(partition, tid, req);
-    if (!h.valid) co_return set_.call(partition, tid, req);
-    co_await host::suspend_until_done(set_, h);
-    co_return set_.retrieve(h);
-  }
-#endif  // !HYBRIDS_NO_INTERLEAVE
-
   static NmpRef ref_from_bits(std::uintptr_t bits) {
     NmpRef r;
     // TaggedPtr has no public bit constructor taking uintptr_t; rebuild.
@@ -1141,12 +881,6 @@ class HybridBTree {
     r.aux = frame.seqs[last_host_level_];  // offloaded parent seqnum
     r.trace_id = trace_id;
     return r;
-  }
-
-  nmp::Response offload(nmp::OpCode op, Key key, Value value, const Frame& frame,
-                        std::uint32_t tid, std::uint64_t trace_id = 0) {
-    return set_.call(frame.partition, tid,
-                     make_request(op, key, value, frame, trace_id));
   }
 
   nmp::OpHandle offload_async(nmp::OpCode op, Key key, Value value,

@@ -31,7 +31,7 @@
 // period (see lockfree_skiplist.hpp), which adds two rules here. (1) Every
 // window that reads fields of a host node returned by find() — deriving the
 // begin-node shortcut, serving a cache-hit read — runs under a mem::EbrGuard
-// that is dropped *before* the blocking NMP call, so a parked host thread
+// that is dropped *before* the NMP offload, so a parked host thread
 // never stalls reclamation. (2) The update path must not dereference the
 // host-node address echoed back in a response (the tower may have been
 // removed and recycled in flight); refresh_mirror() re-finds the live node
@@ -179,15 +179,40 @@ class HybridSkipList {
 
   ~HybridSkipList() { set_.stop(); }
 
-  // ----- blocking operations ------------------------------------------------
+  // ----- operations ---------------------------------------------------------
+  //
+  // Each operation has exactly one body, its coroutine (docs/INTERLEAVING.md).
+  // Under a host::Frame the host descent suspends at each prefetch
+  // (HostIndex::find_co) and the publication round-trip parks on its slot
+  // (host::offload), so sibling operations on the same thread overlap both
+  // kinds of dead time; every EbrGuard closes before the op parks. The
+  // blocking entry points run the same body through host::run_inline, where
+  // no awaiter suspends and host::offload is the plain blocking call.
 
   bool read(Key key, Value& out, std::uint32_t tid) {
+    return host::run_inline(read_co(key, &out, tid));
+  }
+  bool update(Key key, Value value, std::uint32_t tid) {
+    return host::run_inline(update_co(key, value, tid));
+  }
+  bool insert(Key key, Value value, std::uint32_t tid) {
+    return host::run_inline(insert_co(key, value, tid));
+  }
+  bool remove(Key key, std::uint32_t tid) {
+    return host::run_inline(remove_co(key, tid));
+  }
+  std::size_t scan(Key start, std::size_t count, ScanEntry* out,
+                   std::uint32_t tid) {
+    return host::run_inline(scan_co(start, count, out, tid));
+  }
+
+  host::CoTask<bool> read_co(Key key, Value* out, std::uint32_t tid) {
     const trace::OpToken tok = trace::begin_op();
     constexpr auto op8 = static_cast<std::uint8_t>(nmp::OpCode::kRead);
     RetryBudget budget(*this);
     const std::uint32_t part = set_.partition_of(key);
     const auto part16 = static_cast<std::int16_t>(part);
-    if (cache_ != nullptr && cache_->lookup_value(key, out)) {
+    if (cache_ != nullptr && cache_->lookup_value(key, *out)) {
       // Hot key: served from the value tier, no structure touched at all.
       if (tok.sampled()) {
         const std::uint64_t now = telemetry::now_ns();
@@ -195,7 +220,7 @@ class HybridSkipList {
                               part16);
         trace::end_op(tok, now, op8, part16, /*offloaded=*/false);
       }
-      return true;
+      co_return true;
     }
     while (true) {
       const std::uint64_t gen0 = cache_gen(part);
@@ -223,407 +248,9 @@ class HybridSkipList {
                               part16);
       } else {
         {
-          mem::EbrGuard guard;  // spans find + every Window entry read
-          if (host_.find(key, w)) {
-            // Tall node: the value is mirrored host-side; serve from cache.
-            host_read_hits_->inc();
-            out = w.match->value_now();
-            if (tok.sampled()) {
-              const std::uint64_t now = telemetry::now_ns();
-              trace::record_span(tok.id, trace::Phase::kHostDescend, d0, now,
-                                 op8, part16);
-              trace::end_op(tok, now, op8, part16, /*offloaded=*/false);
-            }
-            return true;
-          }
-          req = make_request(nmp::OpCode::kRead, key, 0, 0, w.pred, nullptr,
-                             part, budget.exhausted());
-          req.trace_id = tok.id;
-        }
-        trace::record_span(tok.id, trace::Phase::kHostDescend, d0,
-                           tok.sampled() ? telemetry::now_ns() : 0, op8,
-                           part16);
-      }
-      nmp::Response r = set_.call(part, tid, req);
-      if (must_retry(r)) {
-        on_retry_response(r, part, key, from_shortcut);
-        trace::record_instant(tok.id, trace::Phase::kRetry,
-                              tok.sampled() ? telemetry::now_ns() : 0, op8,
-                              part16);
-        budget.note_retry();
-        continue;
-      }
-      if (r.promote_hint) try_promote(key, tid);
-      out = r.value;
-      if (cache_ != nullptr && r.ok) {
-        // r.aux echoes the partition's current version for reads, so this
-        // fill is ordered against every write version the combiner issued.
-        cache_->fill_value(key, part, r.value, r.aux, gen0);
-        if (!from_shortcut && req.node != nullptr) {
-          // Fat layout: the fill carries the backing leaf + seqlock stamp so
-          // later hits revalidate before trusting the begin node.
-          cache_->fill_shortcut(key, part, req.node, w.leaf_version, gen0,
-                                w.leaf);
-        }
-      }
-      if (tok.sampled()) {
-        trace::end_op(tok, telemetry::now_ns(), op8, part16,
-                      /*offloaded=*/true);
-      }
-      return r.ok;
-    }
-  }
-
-  bool update(Key key, Value value, std::uint32_t tid) {
-    const trace::OpToken tok = trace::begin_op();
-    constexpr auto op8 = static_cast<std::uint8_t>(nmp::OpCode::kUpdate);
-    RetryBudget budget(*this);
-    const std::uint32_t part = set_.partition_of(key);
-    const auto part16 = static_cast<std::int16_t>(part);
-    while (true) {
-      const std::uint64_t gen0 = cache_gen(part);
-      nmp::Request req;
-      HostIndex::Window w;
-      bool from_shortcut = false;
-      const std::uint64_t d0 = tok.sampled() ? telemetry::now_ns() : 0;
-      cache::HotCache::Shortcut sc;
-      bool have_sc = cache_ != nullptr && !budget.exhausted() &&
-                     cache_->lookup_shortcut(key, sc);
-      if (have_sc && shortcut_stale(sc)) {
-        cache_->erase_shortcut(key);
-        have_sc = false;
-      }
-      if (have_sc) {
-        // Updates go through the NMP portion regardless, so a cached begin
-        // node replaces the whole host descent.
-        from_shortcut = true;
-        req.op = nmp::OpCode::kUpdate;
-        req.key = key;
-        req.value = value;
-        req.node = sc.node;
-        req.trace_id = tok.id;
-        trace::record_instant(tok.id, trace::Phase::kCacheLookup, d0, op8,
-                              part16);
-      } else {
-        {
-          mem::EbrGuard guard;
-          (void)host_.find(key, w);
-          // Updates always go through the NMP portion (the authoritative
-          // copy); the response tells us which host mirror to refresh, and
-          // with which version, so racing updates converge (§3.3).
-          req = make_request(nmp::OpCode::kUpdate, key, value, 0, w.pred,
-                             nullptr, part, budget.exhausted());
-          req.trace_id = tok.id;
-        }
-        trace::record_span(tok.id, trace::Phase::kHostDescend, d0,
-                           tok.sampled() ? telemetry::now_ns() : 0, op8,
-                           part16);
-      }
-      nmp::Response r = set_.call(part, tid, req);
-      if (must_retry(r)) {
-        on_retry_response(r, part, key, from_shortcut);
-        trace::record_instant(tok.id, trace::Phase::kRetry,
-                              tok.sampled() ? telemetry::now_ns() : 0, op8,
-                              part16);
-        budget.note_retry();
-        continue;
-      }
-      if (cache_ != nullptr && r.ok) {
-        // Erase + raise the partition fill floor to the write's version
-        // (r.aux) BEFORE returning, then write through: the fresh fill
-        // carries that same version, so it beats any stale in-flight fill.
-        cache_->invalidate_value(key, part, r.aux);
-        cache_->fill_value(key, part, value, r.aux, gen0);
-        if (!from_shortcut && req.node != nullptr) {
-          cache_->fill_shortcut(key, part, req.node, w.leaf_version, gen0,
-                                w.leaf);
-        }
-      }
-      if (r.ok) refresh_mirror(key, r, value);
-      if (r.promote_hint) try_promote(key, tid);
-      if (tok.sampled()) {
-        trace::end_op(tok, telemetry::now_ns(), op8, part16,
-                      /*offloaded=*/true);
-      }
-      return r.ok;
-    }
-  }
-
-  bool insert(Key key, Value value, std::uint32_t tid) {
-    const trace::OpToken tok = trace::begin_op();
-    constexpr auto op8 = static_cast<std::uint8_t>(nmp::OpCode::kInsert);
-    RetryBudget budget(*this);
-    const std::uint32_t part = set_.partition_of(key);
-    const auto part16 = static_cast<std::int16_t>(part);
-    while (true) {
-      const int height = random_height(*rngs_[tid], config_.total_height);
-      LfSkipList::Node* hnode = nullptr;
-      nmp::Request req;
-      const std::uint64_t d0 = tok.sampled() ? telemetry::now_ns() : 0;
-      {
-        mem::EbrGuard guard;
-        HostIndex::Window w;
-        if (host_.find(key, w)) {  // tall node present
-          if (tok.sampled()) {
-            const std::uint64_t now = telemetry::now_ns();
-            trace::record_span(tok.id, trace::Phase::kHostDescend, d0, now,
-                               op8, part16);
-            trace::end_op(tok, now, op8, part16, /*offloaded=*/false);
-          }
-          return false;
-        }
-        if (height > config_.nmp_height) {
-          hnode = host_.make_node(key, value, height - config_.nmp_height);
-        }
-        req = make_request(nmp::OpCode::kInsert, key, value,
-                           static_cast<std::uint64_t>(height), w.pred, hnode,
-                           part, budget.exhausted());
-        req.trace_id = tok.id;
-      }
-      trace::record_span(tok.id, trace::Phase::kHostDescend, d0,
-                         tok.sampled() ? telemetry::now_ns() : 0, op8, part16);
-      // NMP portion first (linearization point: bottom-level link, which
-      // lives in the NMP partition).
-      nmp::Response r = set_.call(part, tid, req);
-      if (must_retry(r)) {
-        on_retry_response(r, part, key, /*from_shortcut=*/false);
-        trace::record_instant(tok.id, trace::Phase::kRetry,
-                              tok.sampled() ? telemetry::now_ns() : 0, op8,
-                              part16);
-        budget.note_retry();
-        if (hnode != nullptr) host_.free_unlinked(hnode);
-        continue;
-      }
-      if (!r.ok) {
-        if (hnode != nullptr) host_.free_unlinked(hnode);
-        if (tok.sampled()) {
-          trace::end_op(tok, telemetry::now_ns(), op8, part16,
-                        /*offloaded=*/true);
-        }
-        return false;  // key already present
-      }
-      // Inserting a key that was recently removed must kill any cached
-      // "old incarnation" value; r.aux carries the insert's fresh version.
-      if (cache_ != nullptr) cache_->invalidate_value(key, part, r.aux);
-      if (hnode != nullptr) {
-        hnode->payload = r.node;  // NMP counterpart (begin-node shortcut)
-        // Seed the mirror at the insert-time version (r.aux) before linking:
-        // if this tower's memory was previously a removed tower for the same
-        // key, any stale in-flight refresh carries a strictly older version
-        // and update_versioned discards it.
-        LfSkipList::update_versioned(hnode, static_cast<std::uint32_t>(r.aux),
-                                     value);
-        if (!host_.insert_node(hnode)) {
-          // Cannot happen while the NMP insert above owns the key; defensive.
-          host_.free_unlinked(hnode);
-        }
-      }
-      if (tok.sampled()) {
-        trace::end_op(tok, telemetry::now_ns(), op8, part16,
-                      /*offloaded=*/true);
-      }
-      return true;
-    }
-  }
-
-  bool remove(Key key, std::uint32_t tid) {
-    const trace::OpToken tok = trace::begin_op();
-    constexpr auto op8 = static_cast<std::uint8_t>(nmp::OpCode::kRemove);
-    RetryBudget budget(*this);
-    const std::uint32_t part = set_.partition_of(key);
-    const auto part16 = static_cast<std::int16_t>(part);
-    while (true) {
-      nmp::Request req;
-      const std::uint64_t d0 = tok.sampled() ? telemetry::now_ns() : 0;
-      {
-        mem::EbrGuard guard;
-        HostIndex::Window w;
-        if (host_.find(key, w)) {
-          // Host portion first (removals proceed top-down across the split).
-          if (!host_.remove(key)) {
-            // A concurrent remover won the host race; it owns the NMP side.
-            if (tok.sampled()) {
-              const std::uint64_t now = telemetry::now_ns();
-              trace::record_span(tok.id, trace::Phase::kHostDescend, d0, now,
-                                 op8, part16);
-              trace::end_op(tok, now, op8, part16, /*offloaded=*/false);
-            }
-            return false;
-          }
-          // Re-derive the begin node: the old pred may have been the
-          // victim's neighborhood; a fresh find gives a clean window.
-          trace::record_span(tok.id, trace::Phase::kHostDescend, d0,
-                             tok.sampled() ? telemetry::now_ns() : 0, op8,
-                             part16);
-          continue;
-        }
-        req = make_request(nmp::OpCode::kRemove, key, 0, 0, w.pred, nullptr,
-                           part, budget.exhausted());
-        req.trace_id = tok.id;
-      }
-      trace::record_span(tok.id, trace::Phase::kHostDescend, d0,
-                         tok.sampled() ? telemetry::now_ns() : 0, op8, part16);
-      nmp::Response r = set_.call(part, tid, req);
-      if (must_retry(r)) {
-        on_retry_response(r, part, key, /*from_shortcut=*/false);
-        trace::record_instant(tok.id, trace::Phase::kRetry,
-                              tok.sampled() ? telemetry::now_ns() : 0, op8,
-                              part16);
-        budget.note_retry();
-        continue;
-      }
-      // r.aux carries the remove's version on success; the linearization
-      // point has passed, so the cached value (if any) is now stale.
-      if (cache_ != nullptr && r.ok) cache_->invalidate_value(key, part, r.aux);
-      if (tok.sampled()) {
-        trace::end_op(tok, telemetry::now_ns(), op8, part16,
-                      /*offloaded=*/true);
-      }
-      return r.ok;
-    }
-  }
-
-  /// Range scan: fills `out` with up to `count` (key, value) pairs with key
-  /// >= `start`, ascending. Each kScan chunk is begun from the host
-  /// portion's bottom-level predecessor shortcut (like point operations);
-  /// the combiner reports a stale begin node via resp.retry and the chunk is
-  /// re-issued under the usual retry budget (force_head once exhausted).
-  /// Longer scans continue within a partition at the response's continuation
-  /// key and hop to the next partition when one is exhausted.
-  ///
-  /// Each chunk is individually atomic (combiner-serialized); the stitched
-  /// whole is not a snapshot. Guarantees: ascending keys with no duplicates
-  /// (chunks cover strictly ascending disjoint key ranges), every returned
-  /// key >= start, and every returned (key, value) was present at some point
-  /// during the scan. Returns the number of entries written.
-  std::size_t scan(Key start, std::size_t count, ScanEntry* out,
-                   std::uint32_t tid) {
-    const trace::OpToken tok = trace::begin_op();
-    constexpr auto op8 = static_cast<std::uint8_t>(nmp::OpCode::kScan);
-    bool offloaded = false;
-    std::size_t filled = 0;
-    Key cur = start;
-    std::uint32_t p = set_.partition_of(start);
-    RetryBudget budget(*this);
-    while (filled < count) {
-      const std::size_t want = count - filled < nmp::kScanChunk
-                                   ? count - filled
-                                   : nmp::kScanChunk;
-      const auto part16 = static_cast<std::int16_t>(p);
-      const std::uint64_t c0 = tok.sampled() ? telemetry::now_ns() : 0;
-      nmp::Request r;
-      {
-        mem::EbrGuard guard;
-        HostIndex::Window w;
-        (void)host_.find(cur, w);
-        r = make_request(nmp::OpCode::kScan, cur, static_cast<Value>(want), 0,
-                         w.pred, nullptr, p, budget.exhausted());
-        r.trace_id = tok.id;
-      }
-      trace::record_span(tok.id, trace::Phase::kHostDescend, c0,
-                         tok.sampled() ? telemetry::now_ns() : 0, op8, part16);
-      r.host_node = out + filled;
-      nmp::Response resp = set_.call(p, tid, r);
-      offloaded = true;
-      // One stitched chunk (descend + offload round-trip), including
-      // retried attempts; the inner phases nest under it in the viewer.
-      trace::record_span(tok.id, trace::Phase::kScanChunk, c0,
-                         tok.sampled() ? telemetry::now_ns() : 0, op8, part16);
-      if (must_retry(resp)) {
-        on_retry_response(resp, p, cur, /*from_shortcut=*/false);
-        trace::record_instant(tok.id, trace::Phase::kRetry,
-                              tok.sampled() ? telemetry::now_ns() : 0, op8,
-                              part16);
-        scan_retry_->inc();
-        budget.note_retry();
-        continue;
-      }
-      filled += resp.value;
-      if (resp.has_more) {
-        cur = static_cast<Key>(resp.aux);
-        continue;
-      }
-      if (p + 1 >= config_.partitions) break;
-      ++p;
-      scan_hops_->inc();
-      // Partition p's keys all sit at or above its range base; continuing
-      // at max(cur, base) keeps the chunk sequence strictly ascending.
-      const Key base = static_cast<Key>(static_cast<std::uint64_t>(p) *
-                                        config_.partition_width);
-      if (base > cur) cur = base;
-    }
-    if (tok.sampled()) {
-      trace::end_op(tok, telemetry::now_ns(), op8,
-                    static_cast<std::int16_t>(p), offloaded);
-    }
-    return filled;
-  }
-
-#if !defined(HYBRIDS_NO_INTERLEAVE)
-  // ----- coroutine-interleaved operations (docs/INTERLEAVING.md) -----------
-  //
-  // Twins of the blocking operations above for callers driving a
-  // host::Frame: the host descent suspends at each prefetch
-  // (LfSkipList::find_co) and the publication round-trip parks on
-  // suspend_until_done instead of spinning into the futex, so sibling
-  // operations on the same thread overlap both kinds of dead time.
-  // Semantics are identical — same retry budget, same trace spans (each
-  // coroutine carries its own OpToken), same failover handling via
-  // must_retry — and every EbrGuard closes before the op parks.
-
-  /// Publication round-trip for the _co ops: post async and park on the
-  /// slot, falling back to the blocking call when no async slot is free or
-  /// the lane is fenced/leased (call() owns the bounce/lease handling).
-  /// kPublish/kWake spans are recorded by call_async/retrieve exactly as by
-  /// call().
-  host::CoTask<nmp::Response> call_co(std::uint32_t p, std::uint32_t tid,
-                                      nmp::Request req) {
-    nmp::OpHandle h = set_.call_async(p, tid, req);
-    if (!h.valid) co_return set_.call(p, tid, req);
-    co_await host::suspend_until_done(set_, h);
-    co_return set_.retrieve(h);
-  }
-
-  host::CoTask<bool> read_co(Key key, Value* out, std::uint32_t tid) {
-    const trace::OpToken tok = trace::begin_op();
-    constexpr auto op8 = static_cast<std::uint8_t>(nmp::OpCode::kRead);
-    RetryBudget budget(*this);
-    const std::uint32_t part = set_.partition_of(key);
-    const auto part16 = static_cast<std::int16_t>(part);
-    if (cache_ != nullptr && cache_->lookup_value(key, *out)) {
-      if (tok.sampled()) {
-        const std::uint64_t now = telemetry::now_ns();
-        trace::record_instant(tok.id, trace::Phase::kCacheLookup, now, op8,
-                              part16);
-        trace::end_op(tok, now, op8, part16, /*offloaded=*/false);
-      }
-      co_return true;
-    }
-    while (true) {
-      const std::uint64_t gen0 = cache_gen(part);
-      nmp::Request req;
-      HostIndex::Window w;
-      bool from_shortcut = false;
-      const std::uint64_t d0 = tok.sampled() ? telemetry::now_ns() : 0;
-      cache::HotCache::Shortcut sc;
-      bool have_sc = cache_ != nullptr && !budget.exhausted() &&
-                     cache_->lookup_shortcut(key, sc);
-      if (have_sc && shortcut_stale(sc)) {
-        cache_->erase_shortcut(key);
-        have_sc = false;
-      }
-      if (have_sc) {
-        from_shortcut = true;
-        req.op = nmp::OpCode::kRead;
-        req.key = key;
-        req.node = sc.node;
-        req.trace_id = tok.id;
-        trace::record_instant(tok.id, trace::Phase::kCacheLookup, d0, op8,
-                              part16);
-      } else {
-        {
           mem::EbrGuard guard;  // spans find_co + every Window entry read
           if (co_await host_.find_co(key, &w)) {
+            // Tall node: the value is mirrored host-side; serve from cache.
             host_read_hits_->inc();
             *out = w.match->value_now();
             if (tok.sampled()) {
@@ -642,7 +269,7 @@ class HybridSkipList {
                            tok.sampled() ? telemetry::now_ns() : 0, op8,
                            part16);
       }
-      nmp::Response r = co_await call_co(part, tid, req);
+      nmp::Response r = co_await host::offload(set_, part, tid, req);
       if (must_retry(r)) {
         on_retry_response(r, part, key, from_shortcut);
         trace::record_instant(tok.id, trace::Phase::kRetry,
@@ -654,8 +281,12 @@ class HybridSkipList {
       if (r.promote_hint) try_promote(key, tid);
       *out = r.value;
       if (cache_ != nullptr && r.ok) {
+        // r.aux echoes the partition's current version for reads, so this
+        // fill is ordered against every write version the combiner issued.
         cache_->fill_value(key, part, r.value, r.aux, gen0);
         if (!from_shortcut && req.node != nullptr) {
+          // Fat layout: the fill carries the backing leaf + seqlock stamp so
+          // later hits revalidate before trusting the begin node.
           cache_->fill_shortcut(key, part, req.node, w.leaf_version, gen0,
                                 w.leaf);
         }
@@ -688,6 +319,8 @@ class HybridSkipList {
         have_sc = false;
       }
       if (have_sc) {
+        // Updates go through the NMP portion regardless, so a cached begin
+        // node replaces the whole host descent.
         from_shortcut = true;
         req.op = nmp::OpCode::kUpdate;
         req.key = key;
@@ -700,6 +333,9 @@ class HybridSkipList {
         {
           mem::EbrGuard guard;
           (void)co_await host_.find_co(key, &w);
+          // Updates always go through the NMP portion (the authoritative
+          // copy); the response tells us which host mirror to refresh, and
+          // with which version, so racing updates converge (§3.3).
           req = make_request(nmp::OpCode::kUpdate, key, value, 0, w.pred,
                              nullptr, part, budget.exhausted());
           req.trace_id = tok.id;
@@ -708,7 +344,7 @@ class HybridSkipList {
                            tok.sampled() ? telemetry::now_ns() : 0, op8,
                            part16);
       }
-      nmp::Response r = co_await call_co(part, tid, req);
+      nmp::Response r = co_await host::offload(set_, part, tid, req);
       if (must_retry(r)) {
         on_retry_response(r, part, key, from_shortcut);
         trace::record_instant(tok.id, trace::Phase::kRetry,
@@ -718,6 +354,9 @@ class HybridSkipList {
         continue;
       }
       if (cache_ != nullptr && r.ok) {
+        // Erase + raise the partition fill floor to the write's version
+        // (r.aux) BEFORE returning, then write through: the fresh fill
+        // carries that same version, so it beats any stale in-flight fill.
         cache_->invalidate_value(key, part, r.aux);
         cache_->fill_value(key, part, value, r.aux, gen0);
         if (!from_shortcut && req.node != nullptr) {
@@ -768,7 +407,9 @@ class HybridSkipList {
       }
       trace::record_span(tok.id, trace::Phase::kHostDescend, d0,
                          tok.sampled() ? telemetry::now_ns() : 0, op8, part16);
-      nmp::Response r = co_await call_co(part, tid, req);
+      // NMP portion first (linearization point: bottom-level link, which
+      // lives in the NMP partition).
+      nmp::Response r = co_await host::offload(set_, part, tid, req);
       if (must_retry(r)) {
         on_retry_response(r, part, key, /*from_shortcut=*/false);
         trace::record_instant(tok.id, trace::Phase::kRetry,
@@ -786,12 +427,19 @@ class HybridSkipList {
         }
         co_return false;  // key already present
       }
+      // Inserting a key that was recently removed must kill any cached
+      // "old incarnation" value; r.aux carries the insert's fresh version.
       if (cache_ != nullptr) cache_->invalidate_value(key, part, r.aux);
       if (hnode != nullptr) {
-        hnode->payload = r.node;
+        hnode->payload = r.node;  // NMP counterpart (begin-node shortcut)
+        // Seed the mirror at the insert-time version (r.aux) before linking:
+        // if this tower's memory was previously a removed tower for the same
+        // key, any stale in-flight refresh carries a strictly older version
+        // and update_versioned discards it.
         LfSkipList::update_versioned(hnode, static_cast<std::uint32_t>(r.aux),
                                      value);
         if (!host_.insert_node(hnode)) {
+          // Cannot happen while the NMP insert above owns the key; defensive.
           host_.free_unlinked(hnode);
         }
       }
@@ -816,7 +464,9 @@ class HybridSkipList {
         mem::EbrGuard guard;
         HostIndex::Window w;
         if (co_await host_.find_co(key, &w)) {
+          // Host portion first (removals proceed top-down across the split).
           if (!host_.remove(key)) {
+            // A concurrent remover won the host race; it owns the NMP side.
             if (tok.sampled()) {
               const std::uint64_t now = telemetry::now_ns();
               trace::record_span(tok.id, trace::Phase::kHostDescend, d0, now,
@@ -825,6 +475,8 @@ class HybridSkipList {
             }
             co_return false;
           }
+          // Re-derive the begin node: the old pred may have been the
+          // victim's neighborhood; a fresh find gives a clean window.
           trace::record_span(tok.id, trace::Phase::kHostDescend, d0,
                              tok.sampled() ? telemetry::now_ns() : 0, op8,
                              part16);
@@ -836,7 +488,7 @@ class HybridSkipList {
       }
       trace::record_span(tok.id, trace::Phase::kHostDescend, d0,
                          tok.sampled() ? telemetry::now_ns() : 0, op8, part16);
-      nmp::Response r = co_await call_co(part, tid, req);
+      nmp::Response r = co_await host::offload(set_, part, tid, req);
       if (must_retry(r)) {
         on_retry_response(r, part, key, /*from_shortcut=*/false);
         trace::record_instant(tok.id, trace::Phase::kRetry,
@@ -845,6 +497,8 @@ class HybridSkipList {
         budget.note_retry();
         continue;
       }
+      // r.aux carries the remove's version on success; the linearization
+      // point has passed, so the cached value (if any) is now stale.
       if (cache_ != nullptr && r.ok) cache_->invalidate_value(key, part, r.aux);
       if (tok.sampled()) {
         trace::end_op(tok, telemetry::now_ns(), op8, part16,
@@ -854,11 +508,19 @@ class HybridSkipList {
     }
   }
 
-  /// Coroutine twin of scan(): same chunking, stitching, and retry rules;
-  /// each chunk's host descent interleaves via find_co and each chunk's
-  /// round-trip parks on the publication slot (the scan-continuation hop
-  /// into the next partition re-descends through find_co, which is where
-  /// its prefetch-and-yield suspensions live).
+  /// Range scan: fills `out` with up to `count` (key, value) pairs with key
+  /// >= `start`, ascending. Each kScan chunk is begun from the host
+  /// portion's bottom-level predecessor shortcut (like point operations);
+  /// the combiner reports a stale begin node via resp.retry and the chunk is
+  /// re-issued under the usual retry budget (force_head once exhausted).
+  /// Longer scans continue within a partition at the response's continuation
+  /// key and hop to the next partition when one is exhausted.
+  ///
+  /// Each chunk is individually atomic (combiner-serialized); the stitched
+  /// whole is not a snapshot. Guarantees: ascending keys with no duplicates
+  /// (chunks cover strictly ascending disjoint key ranges), every returned
+  /// key >= start, and every returned (key, value) was present at some point
+  /// during the scan. Returns the number of entries written.
   host::CoTask<std::size_t> scan_co(Key start, std::size_t count,
                                     ScanEntry* out, std::uint32_t tid) {
     const trace::OpToken tok = trace::begin_op();
@@ -886,8 +548,10 @@ class HybridSkipList {
       trace::record_span(tok.id, trace::Phase::kHostDescend, c0,
                          tok.sampled() ? telemetry::now_ns() : 0, op8, part16);
       r.host_node = out + filled;
-      nmp::Response resp = co_await call_co(p, tid, r);
+      nmp::Response resp = co_await host::offload(set_, p, tid, r);
       offloaded = true;
+      // One stitched chunk (descend + offload round-trip), including
+      // retried attempts; the inner phases nest under it in the viewer.
       trace::record_span(tok.id, trace::Phase::kScanChunk, c0,
                          tok.sampled() ? telemetry::now_ns() : 0, op8, part16);
       if (must_retry(resp)) {
@@ -907,6 +571,8 @@ class HybridSkipList {
       if (p + 1 >= config_.partitions) break;
       ++p;
       scan_hops_->inc();
+      // Partition p's keys all sit at or above its range base; continuing
+      // at max(cur, base) keeps the chunk sequence strictly ascending.
       const Key base = static_cast<Key>(static_cast<std::uint64_t>(p) *
                                         config_.partition_width);
       if (base > cur) cur = base;
@@ -917,7 +583,7 @@ class HybridSkipList {
     }
     co_return filled;
   }
-#endif  // !HYBRIDS_NO_INTERLEAVE
+
 
   /// Adaptive promotion (§7 extension): raise `key` — reported hot by its
   /// NMP core — into the host-managed portion. Replaces the short NMP node
@@ -1332,8 +998,8 @@ class HybridSkipList {
     }
   }
 
-  /// Caller must hold a mem::EbrGuard spanning the host_.find() that
-  /// produced `pred0` through this call: the shortcut derivation reads
+  /// Caller must hold a mem::EbrGuard spanning the host_.find()/find_co()
+  /// that produced `pred0` through this call: the shortcut derivation reads
   /// pred0's key and payload.
   nmp::Request make_request(nmp::OpCode op, Key key, Value value,
                             std::uint64_t aux, LfSkipList::Node* pred0,

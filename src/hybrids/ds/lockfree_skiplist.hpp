@@ -168,7 +168,6 @@ class LfSkipList {
     }
   }
 
-#if !defined(HYBRIDS_NO_INTERLEAVE)
   /// Coroutine twin of find(): same window computation, same helping, but
   /// each prefetch hint becomes a prefetch_and_yield suspension point so a
   /// host::Frame can run a sibling operation while the line is in flight
@@ -224,7 +223,6 @@ class LfSkipList {
       co_return succs[0] != nullptr && succs[0]->key == key;
     }
   }
-#endif  // !HYBRIDS_NO_INTERLEAVE
 
   /// Wait-free lookup (no helping): returns the node for `key` if present
   /// and not marked at the bottom level, else null.

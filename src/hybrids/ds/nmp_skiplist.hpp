@@ -104,111 +104,29 @@ class NmpSkipList {
 
   ~NmpSkipList() { set_.stop(); }
 
+  // ----- operations --------------------------------------------------------
+  //
+  // Each operation has one body, its coroutine (docs/INTERLEAVING.md). The
+  // NMP-only skiplist has no host descent to interleave, so its only
+  // suspension point is the publication round-trip (host::offload inside
+  // call_retry_co's failover re-post loop). The blocking entry points run
+  // the same body inline through host::run_inline.
+
   bool read(Key key, Value& out, std::uint32_t tid) {
-    const std::uint32_t part = set_.partition_of(key);
-    if (cache_ != nullptr && cache_->lookup_value(key, out)) return true;
-    const std::uint64_t gen = cache_gen(part);
-    nmp::Response r =
-        call_retry(part, tid, make_request(nmp::OpCode::kRead, key, 0, 0));
-    out = r.value;
-    if (cache_ != nullptr && r.ok) {
-      cache_->fill_value(key, part, r.value, r.aux, gen);
-    }
-    return r.ok;
+    return host::run_inline(read_co(key, &out, tid));
   }
-
   bool update(Key key, Value value, std::uint32_t tid) {
-    const std::uint32_t part = set_.partition_of(key);
-    const std::uint64_t gen = cache_gen(part);
-    nmp::Response r =
-        call_retry(part, tid, make_request(nmp::OpCode::kUpdate, key, value, 0));
-    if (cache_ != nullptr && r.ok) {
-      // Invalidate (raises the fill floor past any in-flight stale read
-      // fill), then write through at the same version.
-      cache_->invalidate_value(key, part, r.aux);
-      cache_->fill_value(key, part, value, r.aux, gen);
-    }
-    return r.ok;
+    return host::run_inline(update_co(key, value, tid));
   }
-
   bool insert(Key key, Value value, std::uint32_t tid) {
-    const std::uint32_t part = set_.partition_of(key);
-    const int h = random_height(*rngs_[tid], config_.total_height);
-    nmp::Response r =
-        call_retry(part, tid, make_request(nmp::OpCode::kInsert, key, value, h));
-    if (cache_ != nullptr && r.ok) cache_->invalidate_value(key, part, r.aux);
-    return r.ok;
+    return host::run_inline(insert_co(key, value, tid));
   }
-
   bool remove(Key key, std::uint32_t tid) {
-    const std::uint32_t part = set_.partition_of(key);
-    nmp::Response r =
-        call_retry(part, tid, make_request(nmp::OpCode::kRemove, key, 0, 0));
-    if (cache_ != nullptr && r.ok) cache_->invalidate_value(key, part, r.aux);
-    return r.ok;
+    return host::run_inline(remove_co(key, tid));
   }
-
-  /// Range scan: fills `out` with up to `count` (key, value) pairs with key
-  /// >= `start`, ascending. Issues kScan chunks of at most kScanChunk
-  /// entries each, continuing within a partition at the response's
-  /// continuation key and hopping to the next partition when one is
-  /// exhausted. Returns the number of entries written.
   std::size_t scan(Key start, std::size_t count, ScanEntry* out,
                    std::uint32_t tid) {
-    std::size_t filled = 0;
-    Key cur = start;
-    std::uint32_t p = set_.partition_of(start);
-    while (filled < count) {
-      const std::size_t want = count - filled < nmp::kScanChunk
-                                   ? count - filled
-                                   : nmp::kScanChunk;
-      nmp::Request r =
-          make_request(nmp::OpCode::kScan, cur, static_cast<Value>(want), 0);
-      r.host_node = out + filled;
-      nmp::Response resp = call_retry(p, tid, r);
-      filled += resp.value;
-      if (resp.has_more) {
-        cur = static_cast<Key>(resp.aux);
-        continue;
-      }
-      if (p + 1 >= config_.partitions) break;
-      ++p;
-      // Partition p's keys all sit at or above its range base; continuing
-      // at max(cur, base) keeps the chunk sequence strictly ascending.
-      const Key base = static_cast<Key>(static_cast<std::uint64_t>(p) *
-                                        config_.partition_width);
-      if (base > cur) cur = base;
-    }
-    return filled;
-  }
-
-#if !defined(HYBRIDS_NO_INTERLEAVE)
-  // ----- coroutine-interleaved operations (docs/INTERLEAVING.md) -----------
-  //
-  // Twins of the blocking operations for callers driving a host::Frame.
-  // The NMP-only skiplist has no host descent to interleave, so its only
-  // suspension point is the publication round-trip: post async, park on the
-  // slot, resume a sibling op meanwhile. Failover semantics match
-  // call_retry — a failed_over response re-posts until a live combiner (or
-  // lease-holding host) serves the request.
-
-  host::CoTask<nmp::Response> call_retry_co(std::uint32_t p, std::uint32_t tid,
-                                            nmp::Request r) {
-    while (true) {
-      nmp::Response resp;
-      nmp::OpHandle h = set_.call_async(p, tid, r);
-      if (!h.valid) {
-        // No free async slot, or the lane is fenced/leased: the blocking
-        // call owns the bounce/lease handling.
-        resp = set_.call(p, tid, r);
-      } else {
-        co_await host::suspend_until_done(set_, h);
-        resp = set_.retrieve(h);
-      }
-      if (!resp.failed_over) co_return resp;
-      if (cache_ != nullptr) cache_->bump_generation(p);
-      std::this_thread::yield();
-    }
+    return host::run_inline(scan_co(start, count, out, tid));
   }
 
   host::CoTask<bool> read_co(Key key, Value* out, std::uint32_t tid) {
@@ -232,6 +150,8 @@ class NmpSkipList {
     nmp::Response r = co_await call_retry_co(
         part, tid, make_request(nmp::OpCode::kUpdate, key, value, 0));
     if (cache_ != nullptr && r.ok) {
+      // Invalidate (raises the fill floor past any in-flight stale read
+      // fill), then write through at the same version.
       cache_->invalidate_value(key, part, r.aux);
       cache_->fill_value(key, part, value, r.aux, gen);
     }
@@ -255,6 +175,11 @@ class NmpSkipList {
     co_return r.ok;
   }
 
+  /// Range scan: fills `out` with up to `count` (key, value) pairs with key
+  /// >= `start`, ascending. Issues kScan chunks of at most kScanChunk
+  /// entries each, continuing within a partition at the response's
+  /// continuation key and hopping to the next partition when one is
+  /// exhausted. Returns the number of entries written.
   host::CoTask<std::size_t> scan_co(Key start, std::size_t count,
                                     ScanEntry* out, std::uint32_t tid) {
     std::size_t filled = 0;
@@ -275,13 +200,14 @@ class NmpSkipList {
       }
       if (p + 1 >= config_.partitions) break;
       ++p;
+      // Partition p's keys all sit at or above its range base; continuing
+      // at max(cur, base) keeps the chunk sequence strictly ascending.
       const Key base = static_cast<Key>(static_cast<std::uint64_t>(p) *
                                         config_.partition_width);
       if (base > cur) cur = base;
     }
     co_return filled;
   }
-#endif  // !HYBRIDS_NO_INTERLEAVE
 
   /// Non-blocking variants (§3.5): returns an invalid handle when `tid`
   /// already has all of its slots in flight on the target partition.
@@ -440,15 +366,15 @@ class NmpSkipList {
   }
 
  private:
-  /// Blocking call that absorbs failover bounces: a failed_over response
-  /// means the request was not served (the lane was fenced before a combiner
-  /// picked it up, or bounced in flight), so re-post until a live combiner —
-  /// or a lease-holding host — serves it.
-  nmp::Response call_retry(std::uint32_t p, std::uint32_t tid,
-                           const nmp::Request& r) {
+  /// Publication round-trip that absorbs failover bounces: a failed_over
+  /// response means the request was not served (the lane was fenced before
+  /// a combiner picked it up, or bounced in flight), so re-post until a live
+  /// combiner — or a lease-holding host — serves it.
+  host::CoTask<nmp::Response> call_retry_co(std::uint32_t p, std::uint32_t tid,
+                                            nmp::Request r) {
     while (true) {
-      nmp::Response resp = set_.call(p, tid, r);
-      if (!resp.failed_over) return resp;
+      nmp::Response resp = co_await host::offload(set_, p, tid, r);
+      if (!resp.failed_over) co_return resp;
       // No cached value survives a bounced partition: the takeover path may
       // have served writes this host never saw acks for.
       if (cache_ != nullptr) cache_->bump_generation(p);

@@ -4,8 +4,6 @@
 // home.
 #include "hybrids/host/interleave.hpp"
 
-#if !defined(HYBRIDS_NO_INTERLEAVE)
-
 #include <chrono>
 
 #include "hybrids/telemetry/registry.hpp"
@@ -139,5 +137,3 @@ bool Frame::step() {
 }
 
 }  // namespace hybrids::host
-
-#endif  // !HYBRIDS_NO_INTERLEAVE

@@ -11,19 +11,23 @@
 //     node and suspend, letting a sibling operation run while the line is
 //     in flight (the hpides tree_simulation / "Skiplists with Foresight"
 //     miss-hiding pattern).
-//   * `suspend_until_done(set, handle)` — park a traversal across the
-//     publication-slot wait instead of spinning; the frame resumes another
-//     in-flight op meanwhile and falls back to the runtime's existing
-//     bounded futex wait (NmpCore::wait_done_for) when every slot is
-//     parked.
+//   * `offload(set, p, tid, req)` — the publication round-trip of every
+//     hybrid operation: parks the traversal on its async slot
+//     (`suspend_until_done`) so the frame resumes another in-flight op
+//     meanwhile, falling back to the runtime's existing bounded futex wait
+//     (NmpCore::wait_done_for) when every slot is parked.
 //
 // The scheduler is deliberately tiny: a `Frame` of up to kMaxSlots lazily
 // started `CoTask` coroutines, resumed round-robin, with no cross-thread
 // hand-off — a coroutine is created, resumed, and destroyed on one thread,
 // so thread-local state (EBR pins, trace rings, RNGs) behaves exactly as in
-// the blocking paths. Everything here compiles out under
-// HYBRIDS_NO_INTERLEAVE (only the depth-knob stubs remain), and the
-// blocking entry points of the data structures never touch this layer.
+// a plain call.
+//
+// Each data-structure operation has exactly one body, its `_co` coroutine.
+// The blocking entry points run that body through `run_inline`, which
+// clears the thread's active frame for the duration: with no frame every
+// awaiter short-circuits (prefetch-only yields, `offload` becomes the plain
+// blocking PartitionSet::call), so one resume() runs the whole operation.
 //
 // EBR interaction (mem/ebr.hpp): holding an EbrGuard across a
 // `prefetch_and_yield` suspension is safe — the sibling coroutines run on
@@ -35,25 +39,17 @@
 #pragma once
 
 #include <atomic>
+#include <cassert>
+#include <coroutine>
+#include <cstddef>
 #include <cstdint>
+#include <exception>
+#include <utility>
 
 #include "hybrids/mem/memlayer.hpp"
+#include "hybrids/nmp/partition_set.hpp"
 
 namespace hybrids::host {
-
-#if defined(HYBRIDS_NO_INTERLEAVE)
-
-/// Compile-time switch the benches/tests consult: when the interleave layer
-/// is compiled out the `_co` entry points do not exist and the depth knob
-/// pins to 1.
-inline constexpr bool kInterleaveCompiledIn = false;
-
-inline std::uint32_t interleave_depth() noexcept { return 1; }
-inline void set_interleave_depth(std::uint32_t) noexcept {}
-
-#else  // !HYBRIDS_NO_INTERLEAVE
-
-inline constexpr bool kInterleaveCompiledIn = true;
 
 /// Process-wide default frame depth (number of coroutine slots a
 /// default-constructed Frame gets). Same runtime-toggle idiom as the memory
@@ -71,22 +67,6 @@ inline std::uint32_t interleave_depth() noexcept {
 inline void set_interleave_depth(std::uint32_t k) noexcept {
   interleave_depth_flag().store(k == 0 ? 1 : k, std::memory_order_relaxed);
 }
-
-#endif  // HYBRIDS_NO_INTERLEAVE
-
-}  // namespace hybrids::host
-
-#if !defined(HYBRIDS_NO_INTERLEAVE)
-
-#include <cassert>
-#include <coroutine>
-#include <cstddef>
-#include <exception>
-#include <utility>
-
-#include "hybrids/nmp/partition_set.hpp"
-
-namespace hybrids::host {
 
 namespace detail {
 
@@ -322,9 +302,7 @@ inline ActiveFrame& active_frame() noexcept {
 /// single-line hint, larger objects prefetch every line) and yield to a
 /// sibling operation while the line(s) travel. Degrades to prefetch-only —
 /// no suspension — when no Frame is driving this thread or when this is the
-/// frame's only in-flight op (nothing to overlap with, so depth-1 runs
-/// match the blocking paths instruction-for-instruction after the
-/// await_ready check).
+/// frame's only in-flight op (nothing to overlap with).
 struct PrefetchAndYield {
   const void* addr;
   std::size_t bytes;
@@ -374,6 +352,37 @@ inline SuspendUntilDone suspend_until_done(nmp::PartitionSet& set,
   return {&set, h};
 }
 
-}  // namespace hybrids::host
+/// The publication round-trip of every hybrid operation. With no Frame
+/// driving this thread (a blocking call through run_inline) it is the plain
+/// blocking PartitionSet::call. Under a Frame it posts async and parks on
+/// the slot, falling back to call() when no async slot is free or the lane
+/// is fenced/leased (call() owns the bounce/lease handling). kPublish/kWake
+/// spans are recorded by call_async/retrieve exactly as by call().
+inline CoTask<nmp::Response> offload(nmp::PartitionSet& set, std::uint32_t p,
+                                     std::uint32_t tid, nmp::Request req) {
+  if (detail::active_frame().frame == nullptr) co_return set.call(p, tid, req);
+  const nmp::OpHandle h = set.call_async(p, tid, req);
+  if (!h.valid) co_return set.call(p, tid, req);
+  co_await suspend_until_done(set, h);
+  co_return set.retrieve(h);
+}
 
-#endif  // !HYBRIDS_NO_INTERLEAVE
+/// Runs `task` to completion on the calling thread and returns its result;
+/// every blocking data-structure entry point is `run_inline(op_co(...))`.
+/// The thread's active frame is cleared for the duration, so every awaiter
+/// short-circuits and nested CoTasks hand control back and forth by
+/// symmetric transfer: one resume() runs the whole operation. Clearing it
+/// also keeps a blocking op called from inside a frame-driven coroutine
+/// from suspending into that outer frame's slot.
+template <typename T>
+T run_inline(CoTask<T> task) {
+  detail::ActiveFrame& active = detail::active_frame();
+  const detail::ActiveFrame saved = active;
+  active = {};
+  task.handle().resume();
+  active = saved;
+  assert(task.done() && "run_inline: task suspended with no active frame");
+  return task.result();
+}
+
+}  // namespace hybrids::host

@@ -1,24 +1,13 @@
 // Coroutine-interleaved host traversals (host/interleave.hpp +
 // docs/INTERLEAVING.md): awaiter resume-exactly-once, frame drain on
 // exception and on NMP-requested retries, suspension across a publication
-// wait with a stalled combiner, and oracle-exact interleaved runs at depth 8
-// (the configuration the TSan CI job hammers).
+// wait with a stalled combiner, oracle-exact interleaved runs at depth 8
+// (the configuration the TSan CI job hammers), and the inline runs behind
+// the blocking entry points: no suspension into an enclosing frame, no
+// async publication slots.
 #include <gtest/gtest.h>
 
 #include "hybrids/host/interleave.hpp"
-
-#if defined(HYBRIDS_NO_INTERLEAVE)
-
-TEST(Interleave, CompiledOut) {
-  // The knob pins to 1 and the _co entry points do not exist; nothing else
-  // to check in this configuration.
-  EXPECT_FALSE(hybrids::host::kInterleaveCompiledIn);
-  EXPECT_EQ(hybrids::host::interleave_depth(), 1u);
-  hybrids::host::set_interleave_depth(16);
-  EXPECT_EQ(hybrids::host::interleave_depth(), 1u);
-}
-
-#else  // !HYBRIDS_NO_INTERLEAVE
 
 #include <atomic>
 #include <chrono>
@@ -91,7 +80,6 @@ hh::CoTask<int> throwing_op(int yields) {
 }  // namespace
 
 TEST(InterleaveKnob, DepthRoundTripAndClamp) {
-  EXPECT_TRUE(hh::kInterleaveCompiledIn);
   const std::uint32_t before = hh::interleave_depth();
   hh::set_interleave_depth(8);
   EXPECT_EQ(hh::interleave_depth(), 8u);
@@ -615,4 +603,293 @@ TEST(InterleaveChaos, OracleExactAtDepth8FourThreads) {
   for (auto& w : workers) w.join();
 }
 
-#endif  // HYBRIDS_NO_INTERLEAVE
+// ---------- blocking entry points: the _co bodies run inline ----------
+
+namespace {
+
+// What a blocking call made from inside a frame-driven coroutine must leave
+// exactly as it found it: the thread's active frame/slot, the frame's
+// in-flight count, and — since note_yield/note_wait are the only writers of
+// a suspended slot's state and both count a yield — the yield counter.
+struct FrameView {
+  hh::Frame* frame;
+  std::uint32_t slot;
+  std::uint32_t inflight;
+  std::uint64_t yields;
+};
+
+FrameView view_active_frame() {
+  const hh::detail::ActiveFrame& a = hh::detail::active_frame();
+  return {a.frame, a.slot, a.frame != nullptr ? a.frame->inflight() : 0u,
+          tel::counter(tel::names::kInterleaveYields).value()};
+}
+
+void expect_same_frame(const FrameView& before, const FrameView& after) {
+  EXPECT_NE(before.frame, nullptr);
+  EXPECT_EQ(after.frame, before.frame);
+  EXPECT_EQ(after.slot, before.slot);
+  EXPECT_EQ(after.inflight, before.inflight);
+  if (tel::kEnabled) {
+    EXPECT_EQ(after.yields, before.yields);
+  }
+}
+
+struct BlockingResult {
+  bool inserted = false;
+  bool found = false;
+  Value value = 0;
+};
+
+// Blocking insert + read of `key` from inside a Frame slot, once before this
+// op's first yield (siblings queued) and once after it (siblings mid-descent
+// or parked on publication slots).
+template <typename DS>
+hh::CoTask<void> blocking_inside_frame(DS* ds, Key k1, Key k2, Value v,
+                                       BlockingResult* r1,
+                                       BlockingResult* r2) {
+  FrameView before = view_active_frame();
+  EXPECT_GT(before.inflight, 1u) << "no sibling in flight";
+  r1->inserted = ds->insert(k1, v, 0);
+  r1->found = ds->read(k1, r1->value, 0);
+  expect_same_frame(before, view_active_frame());
+
+  int dummy = 0;
+  co_await hh::prefetch_and_yield(&dummy);
+
+  before = view_active_frame();
+  r2->inserted = ds->insert(k2, v, 0);
+  r2->found = ds->read(k2, r2->value, 0);
+  expect_same_frame(before, view_active_frame());
+}
+
+void check_blocking(std::map<Key, Value>& oracle, Key key, Value v,
+                    const BlockingResult& r) {
+  EXPECT_EQ(r.inserted, oracle.count(key) == 0) << "insert key " << key;
+  if (r.inserted) oracle[key] = v;
+  EXPECT_TRUE(r.found) << "read key " << key;
+  EXPECT_EQ(r.value, oracle[key]) << "read key " << key;
+}
+
+// One slot runs blocking_inside_frame while the other seven run _co ops of
+// random kinds; all nine keys of a round are distinct, so the std::map
+// oracle stays exact whatever order the frame completes them in.
+template <typename DS>
+void blocking_ops_inside_depth8_frame(DS& ds, std::map<Key, Value>& oracle,
+                                      Key key_space, std::uint64_t seed) {
+  constexpr std::uint32_t kDepth = 8;
+  constexpr Key kStride = kDepth + 1;  // two blocking keys + seven siblings
+  hybrids::util::Xoshiro256 rng(seed);
+  hh::Frame frame(kDepth);
+  for (int round = 0; round < 60; ++round) {
+    Key keys[kStride];
+    const Key base = static_cast<Key>(rng.next() % (key_space / kStride)) *
+                     kStride;
+    for (Key i = 0; i < kStride; ++i) keys[i] = base + i;
+    const Value v = static_cast<Value>(round) * 1000 + 1;
+
+    BlockingResult r1, r2;
+    hh::CoTask<void> inside =
+        blocking_inside_frame(&ds, keys[0], keys[1], v, &r1, &r2);
+    ASSERT_TRUE(frame.submit(inside.handle()));
+    const std::uint64_t choice = rng.next();
+    std::vector<hh::CoTask<bool>> siblings;
+    std::vector<int> kinds;
+    std::vector<Value> reads(kDepth - 1, 0);
+    for (std::uint32_t i = 0; i + 1 < kDepth; ++i) {
+      const Key k = keys[i + 2];
+      const int kind = static_cast<int>((choice >> (i * 2)) & 3);
+      kinds.push_back(kind);
+      switch (kind) {
+        case 0:
+          siblings.push_back(ds.read_co(k, &reads[i], 0));
+          break;
+        case 1:
+          siblings.push_back(ds.insert_co(k, k + 5, 0));
+          break;
+        case 2:
+          siblings.push_back(ds.remove_co(k, 0));
+          break;
+        default:
+          siblings.push_back(ds.update_co(k, k + 11, 0));
+          break;
+      }
+    }
+    drain_round(frame, siblings);
+    ASSERT_TRUE(inside.done());
+    inside.result();
+
+    check_blocking(oracle, keys[0], v, r1);
+    check_blocking(oracle, keys[1], v, r2);
+    for (std::uint32_t i = 0; i + 1 < kDepth; ++i) {
+      const Key k = keys[i + 2];
+      const bool ok = siblings[i].result();
+      const auto it = oracle.find(k);
+      switch (kinds[i]) {
+        case 0:
+          EXPECT_EQ(ok, it != oracle.end()) << "read key " << k;
+          if (it != oracle.end()) { EXPECT_EQ(reads[i], it->second); }
+          break;
+        case 1:
+          EXPECT_EQ(ok, it == oracle.end()) << "insert key " << k;
+          if (ok) oracle[k] = k + 5;
+          break;
+        case 2:
+          EXPECT_EQ(ok, it != oracle.end()) << "remove key " << k;
+          if (ok) oracle.erase(k);
+          break;
+        default:
+          EXPECT_EQ(ok, it != oracle.end()) << "update key " << k;
+          if (ok) oracle[k] = k + 11;
+          break;
+      }
+    }
+  }
+  EXPECT_TRUE(frame.empty());
+}
+
+}  // namespace
+
+TEST(InterleaveInline, BlockingOpsInsideFrameSkipList) {
+  hd::HybridSkipList::Config cfg;
+  cfg.total_height = 8;
+  cfg.nmp_height = 4;
+  cfg.partitions = 4;
+  cfg.partition_width = 64;
+  cfg.max_threads = 1;
+  cfg.slots_per_thread = 8;
+  hd::HybridSkipList list(cfg);
+  std::map<Key, Value> oracle;
+  blocking_ops_inside_depth8_frame(list, oracle, 4 * 64, 17);
+  EXPECT_EQ(list.size(), oracle.size());
+}
+
+TEST(InterleaveInline, BlockingOpsInsideFrameBTree) {
+  std::vector<Key> keys;
+  std::vector<Value> vals;
+  std::map<Key, Value> oracle;
+  for (Key k = 0; k < 1024; k += 2) {
+    keys.push_back(k);
+    vals.push_back(k * 7);
+    oracle[k] = k * 7;
+  }
+  hd::HybridBTree::Config cfg;
+  cfg.nmp_levels = 2;
+  cfg.partitions = 4;
+  cfg.max_threads = 1;
+  cfg.slots_per_thread = 8;
+  hd::HybridBTree tree(cfg, keys, vals);
+  blocking_ops_inside_depth8_frame(tree, oracle, 1024, 19);
+  EXPECT_EQ(tree.size(), oracle.size());
+}
+
+namespace {
+
+// Requests the partitions' combiners have served; final once the partition
+// set is stopped (stop() joins them).
+std::uint64_t served(hn::PartitionSet& set) {
+  std::uint64_t n = 0;
+  for (std::uint32_t p = 0; p < set.partitions(); ++p) {
+    n += set.core(p).served();
+  }
+  return n;
+}
+
+struct CallCounts {
+  std::uint64_t blocking;
+  std::uint64_t async;
+};
+
+CallCounts call_counts() {
+  return {tel::counter(tel::names::kCallBlocking).value(),
+          tel::counter(tel::names::kCallAsync).value()};
+}
+
+// Stops `set` and checks that every offload since (`before`, `served0`) took
+// the blocking publication path: host::offload with no active frame.
+void expect_all_blocking(hn::PartitionSet& set, const CallCounts& before,
+                         std::uint64_t served0) {
+  set.stop();
+  const CallCounts after = call_counts();
+  const std::uint64_t offloads = served(set) - served0;
+  EXPECT_GT(offloads, 0u);
+  EXPECT_EQ(after.async - before.async, 0u);
+  EXPECT_EQ(after.blocking - before.blocking, offloads);
+}
+
+}  // namespace
+
+TEST(InterleaveInline, BlockingOnlyTrafficNeverUsesAsyncSlots) {
+  if (!tel::kEnabled) GTEST_SKIP() << "telemetry compiled out";
+  std::vector<ScanEntry> buf(40);
+  {
+    hd::HybridSkipList::Config cfg;
+    cfg.total_height = 8;
+    cfg.nmp_height = 4;
+    cfg.partitions = 4;
+    cfg.partition_width = 64;
+    cfg.max_threads = 1;
+    cfg.watchdog_interval_ms = 0;
+    hd::HybridSkipList list(cfg);
+    const CallCounts before = call_counts();
+    const std::uint64_t served0 = served(list.partition_set());
+    for (Key k = 0; k < 256; k += 3) ASSERT_TRUE(list.insert(k, k + 1, 0));
+    Value v = 0;
+    for (Key k = 0; k < 256; k += 6) {
+      ASSERT_TRUE(list.read(k, v, 0));
+      ASSERT_EQ(v, k + 1);
+      ASSERT_TRUE(list.update(k, k + 2, 0));
+    }
+    for (Key k = 3; k < 256; k += 6) ASSERT_TRUE(list.remove(k, 0));
+    EXPECT_EQ(list.scan(0, buf.size(), buf.data(), 0), buf.size());
+    expect_all_blocking(list.partition_set(), before, served0);
+  }
+  {
+    std::vector<Key> keys;
+    std::vector<Value> vals;
+    for (Key k = 0; k < 2000; k += 2) {
+      keys.push_back(k);
+      vals.push_back(k);
+    }
+    hd::HybridBTree::Config cfg;
+    cfg.nmp_levels = 2;
+    cfg.partitions = 4;
+    cfg.max_threads = 1;
+    cfg.watchdog_interval_ms = 0;
+    hd::HybridBTree tree(cfg, keys, vals);
+    const CallCounts before = call_counts();
+    const std::uint64_t served0 = served(tree.partition_set());
+    const std::uint64_t lock_path0 =
+        tel::counter(tel::names::kLockPathTotal).value();
+    // Ascending tail inserts split the partitions' top-level nodes, so some
+    // escalate through LOCK_PATH (and its RESUME/UNLOCK legs).
+    for (Key k = 2000; k < 4000; ++k) ASSERT_TRUE(tree.insert(k, k, 0));
+    EXPECT_GT(tel::counter(tel::names::kLockPathTotal).value(), lock_path0);
+    Value v = 0;
+    for (Key k = 0; k < 4000; k += 98) {
+      ASSERT_TRUE(tree.read(k, v, 0));
+      ASSERT_TRUE(tree.update(k, k + 1, 0));
+    }
+    for (Key k = 1; k < 2000; k += 50) ASSERT_FALSE(tree.remove(k, 0));
+    for (Key k = 2; k < 2000; k += 50) ASSERT_TRUE(tree.remove(k, 0));
+    EXPECT_EQ(tree.scan(100, buf.size(), buf.data(), 0), buf.size());
+    expect_all_blocking(tree.partition_set(), before, served0);
+  }
+  {
+    hd::NmpSkipList::Config cfg;
+    cfg.total_height = 8;
+    cfg.partitions = 2;
+    cfg.partition_width = 128;
+    cfg.max_threads = 1;
+    cfg.watchdog_interval_ms = 0;
+    hd::NmpSkipList list(cfg);
+    const CallCounts before = call_counts();
+    const std::uint64_t served0 = served(list.partition_set());
+    for (Key k = 0; k < 256; k += 2) ASSERT_TRUE(list.insert(k, k, 0));
+    Value v = 0;
+    ASSERT_TRUE(list.read(130, v, 0));
+    ASSERT_TRUE(list.update(130, 1, 0));
+    ASSERT_TRUE(list.remove(4, 0));
+    EXPECT_EQ(list.scan(0, buf.size(), buf.data(), 0), buf.size());
+    expect_all_blocking(list.partition_set(), before, served0);
+  }
+}
