@@ -4,8 +4,9 @@
 //   $ ./examples/quickstart
 //
 // On real NMP hardware the "NMP cores" would be in-memory processors; in
-// this software runtime each one is a dedicated combiner thread owning its
-// partition (same programming model, §3.2 of the paper).
+// this software runtime each one is a partition served by exactly one
+// combiner-pool thread at a time (same programming model, §3.2 of the
+// paper).
 #include <cstdio>
 #include <thread>
 #include <vector>

@@ -31,10 +31,10 @@ namespace hybrids::nmp::fault {
 ///  * kDelayedResponse  — combiner sleeps between running the handler and
 ///                        publishing kDone (slow response; exercises
 ///                        bounded waits), and host-side slot-publish delay.
-///  * kLostWakeup       — post() skips the futex notify after bumping the
-///                        pending counter (dropped doorbell; exercises
-///                        wait_done_for's re-notify recovery and the
-///                        watchdog kick).
+///  * kLostWakeup       — post() skips ringing a parked pool thread's
+///                        doorbell after bumping the pending counter
+///                        (dropped doorbell; exercises wait_done_for's kick
+///                        and the watchdog kick).
 ///  * kSpuriousRetry    — the combiner replies retry *without running the
 ///                        handler* (exercises host retry loops and retry
 ///                        budgets; safe because no partition state changed).
@@ -43,15 +43,18 @@ namespace hybrids::nmp::fault {
 ///                        running the handler (exercises the host's
 ///                        LOCK_PATH fallback when the NMP side has no record
 ///                        of the escalation).
-///  * kCombinerAbort    — the combiner thread permanently exits its service
-///                        loop at the top of a scan pass, before touching any
-///                        slot (dead NMP core; exercises the failover
-///                        supervisor: fence, bounce, respawn/lease).
-///  * kCombinerWedge    — sticky variant of kCombinerStall: the combiner
-///                        spins at the top of a scan pass without serving
-///                        until it is fenced, instead of sleeping once
-///                        (livelocked core; same supervisor path, but the
-///                        zombie thread stays runnable until fenced).
+///  * kCombinerAbort    — the pool permanently stops serving the partition
+///                        at the top of a pass, before touching any slot
+///                        (dead NMP core; exercises the failover
+///                        supervisor: fence, bounce, re-arm/lease).
+///  * kCombinerWedge    — sticky variant of kCombinerStall: at the top of a
+///                        pass the pool thread sleeps holding the
+///                        partition's pass token, serving nothing, until
+///                        the partition is fenced (livelocked core, like a
+///                        handler that never returns; same supervisor path,
+///                        but the seize waits until the thread sees the
+///                        fence, and the thread's other partitions wait or
+///                        are moved by the re-arm).
 enum class Kind : std::uint8_t {
   kCombinerStall = 0,
   kDelayedResponse,
@@ -64,7 +67,7 @@ enum class Kind : std::uint8_t {
 
 inline constexpr std::size_t kKindCount = 7;
 
-/// Lifecycle kinds kill (or wedge until fenced) the combiner thread itself
+/// Lifecycle kinds kill (or wedge until fenced) a partition's server itself
 /// rather than perturbing one protocol step. They require the failover
 /// supervisor to make progress again, so Config::all() — used by chaos
 /// scenarios that expect every enabled kind to be survivable by the

@@ -12,17 +12,27 @@
 namespace hybrids::nmp {
 
 namespace {
-// Bounded-wait window: how long a waiter parks before it re-notifies the
-// combiner's pending counter. Long enough that the fault-free path never
-// expires in practice (a combiner pass is microseconds), short enough that
-// recovery from a lost wakeup is prompt.
+// Bounded-wait window: how long a waiter parks before it kicks the server.
+// Long enough that the fault-free path never expires in practice (a
+// combiner pass is microseconds, and a completion wakes the parked host),
+// short enough that recovery from a lost doorbell is prompt.
 constexpr std::chrono::milliseconds kWaitWindow{2};
 }  // namespace
+
+void Doorbell::ring() noexcept {
+  static telemetry::Counter& wakes =
+      telemetry::counter(telemetry::names::kWakeTotal);
+  word.fetch_add(1, std::memory_order_seq_cst);
+  util::futex_wake(word, 1);
+  wakes.inc();
+}
 
 NmpCore::NmpCore(std::uint32_t id, std::uint32_t slot_count, Handler handler)
     : id_(id), handler_(std::move(handler)) {
   assert(slot_count > 0);
   slots_ = std::vector<util::CacheAligned<PubSlot>>(slot_count);
+  picked_.reserve(slot_count);
+  batch_.reserve(slot_count);
   const auto p = static_cast<std::int32_t>(id_);
   namespace tn = telemetry::names;
   metrics_.served_total = &telemetry::counter(tn::kServedTotal, p);
@@ -31,9 +41,8 @@ NmpCore::NmpCore(std::uint32_t id, std::uint32_t slot_count, Handler handler)
         std::string(tn::kServedPrefix) + op_code_name(static_cast<OpCode>(op)),
         p);
   }
-  metrics_.park = &telemetry::counter(tn::kParkTotal, p);
-  metrics_.wake = &telemetry::counter(tn::kWakeTotal, p);
   metrics_.wait_timeout = &telemetry::counter(tn::kWaitTimeoutTotal, p);
+  metrics_.posted = &telemetry::counter(tn::kOffloadPosted);
   metrics_.queue_wait = &telemetry::latency(tn::kQueueWaitNs, p);
   metrics_.service = &telemetry::latency(tn::kServiceNs, p);
   metrics_.occupancy = &telemetry::latency(tn::kScanOccupancy, p);
@@ -43,88 +52,66 @@ NmpCore::NmpCore(std::uint32_t id, std::uint32_t slot_count, Handler handler)
   metrics_.trace_service = &telemetry::counter(tn::kTraceServiceNs, p);
 }
 
-NmpCore::~NmpCore() { stop(); }
-
 void NmpCore::set_batch_handler(BatchHandler handler) {
-  assert(!started_);
   batch_handler_ = std::move(handler);
-}
-
-void NmpCore::start() {
-  if (started_) return;
-  started_ = true;
-  stop_.store(false, std::memory_order_relaxed);
-  // A respawn after try_reap() relaunches over the same slots/partition
-  // state; the new thread captures the *current* fence epoch in run().
-  exited_.store(false, std::memory_order_relaxed);
-  thread_ = std::thread([this] { run(); });
-}
-
-void NmpCore::stop() {
-  if (!started_) return;
-  stop_.store(true, std::memory_order_release);
-  pending_.fetch_add(1, std::memory_order_release);
-  pending_.notify_one();
-  metrics_.wake->inc();
-  thread_.join();
-  started_ = false;
 }
 
 void NmpCore::post(std::uint32_t index, const Request& r) {
   slots_[index]->post(r);
-  // The release fetch_add orders after the slot's kPending store; see the
-  // protocol comment in publication.hpp.
-  pending_.fetch_add(1, std::memory_order_release);
+  // Doorbell handshake (publication.hpp): the seq_cst bump is ordered after
+  // the slot's kPending store and before the load of the server's parked
+  // flag, so either the server's pre-park re-check sees the bump or this
+  // post sees it parked and rings.
+  pending_.fetch_add(1, std::memory_order_seq_cst);
   posts_.fetch_add(1, std::memory_order_relaxed);
-  // Fault hook: a lost wakeup drops the futex notify (the doorbell) but not
-  // the counter bump. A parked combiner stays parked until a bounded waiter
-  // or the watchdog re-notifies — exactly the recovery paths under test.
-  if (!fault::FaultInjector::fire(fault::Kind::kLostWakeup, id_)) {
-    pending_.notify_one();
-    metrics_.wake->inc();
+  Doorbell* bell = bell_.load(std::memory_order_acquire);
+  if (bell != nullptr && bell->parked.load(std::memory_order_seq_cst) != 0) {
+    // Fault hook: a lost wakeup drops the doorbell but not the counter
+    // bump. The parked server stays parked until a bounded waiter or the
+    // watchdog kicks it — exactly the recovery paths under test.
+    if (!fault::FaultInjector::fire(fault::Kind::kLostWakeup, id_)) {
+      bell->ring();
+    }
   }
-  telemetry::counter(telemetry::names::kOffloadPosted).add();
+  metrics_.posted->inc();
 }
 
 void NmpCore::kick() {
-  // Waking on the current counter value: any parked combiner re-checks its
-  // `seen` snapshot against the live counter and re-scans if they differ.
-  pending_.notify_all();
-  metrics_.wake->inc();
+  if (Doorbell* bell = bell_.load(std::memory_order_acquire)) bell->ring();
 }
 
 void NmpCore::fence_raise() {
-  fence_.fetch_add(1, std::memory_order_release);
-  // A parked combiner sits in pending_.wait(seen); a bare notify cannot wake
-  // it if the counter value is unchanged, so bump it too. The woken thread
-  // re-runs the pass top, sees the stale epoch, and exits.
-  pending_.fetch_add(1, std::memory_order_release);
-  pending_.notify_all();
-  metrics_.wake->inc();
+  fence_.fetch_add(1, std::memory_order_seq_cst);
+  kick();
 }
 
-bool NmpCore::try_reap() {
-  if (!started_) return false;
-  if (!exited_.load(std::memory_order_acquire)) return false;
-  thread_.join();
-  started_ = false;
-  return true;
+bool NmpCore::try_seize() {
+  if (armed_.load(std::memory_order_acquire) ==
+      fence_.load(std::memory_order_acquire)) {
+    return false;  // still armed: the pool owns it
+  }
+  return try_acquire_pass();
 }
 
 std::uint32_t NmpCore::drive_pass() {
-  std::vector<Picked> picked;
-  std::vector<BatchOp> batch;
-  picked.reserve(slots_.size());
-  batch.reserve(slots_.size());
+  if (!try_acquire_pass()) return 0;
   // The lease driver runs under the *current* epoch: the fence only moves
-  // when the supervisor hands ownership over, never while a lease pass is
-  // in flight (the supervisor serializes on the lease lock).
-  return scan_and_serve(picked, batch,
-                        fence_.load(std::memory_order_acquire));
+  // when the supervisor hands ownership over, and the supervisor must hold
+  // this token to do that. A core armed at that epoch is the pool's again
+  // (the supervisor handed the lane back after this host checked it):
+  // stand down.
+  const std::uint64_t epoch = fence_.load(std::memory_order_acquire);
+  if (armed_.load(std::memory_order_acquire) == epoch) {
+    release_pass();
+    return 0;
+  }
+  const std::uint32_t served = scan_and_serve(epoch);
+  release_pass();
+  return served;
 }
 
 void NmpCore::wait_done(std::uint32_t index) {
-  // Unbounded overall, but composed of bounded windows so a lost wakeup is
+  // Unbounded overall, but composed of bounded windows so a lost doorbell is
   // recovered instead of hanging the host thread forever.
   while (!wait_done_for(index, kWaitWindow)) {
   }
@@ -138,15 +125,24 @@ bool NmpCore::wait_done_for(std::uint32_t index,
     if (s.done()) return true;
     backoff.spin();
   }
+  // Reply handshake (publication.hpp): raise `waiting` before every status
+  // re-load that may lead to a park, so a completion that this load misses
+  // sees the flag and issues the FUTEX_WAKE.
+  s.waiting.store(1, std::memory_order_seq_cst);
   const auto deadline = std::chrono::steady_clock::now() + timeout;
+  bool done = false;
   while (true) {
-    const std::uint32_t observed = s.status.load(std::memory_order_acquire);
-    if (observed == PubSlot::kDone) return true;
+    const std::uint32_t observed = s.status.load(std::memory_order_seq_cst);
+    if (observed == PubSlot::kDone) {
+      done = true;
+      break;
+    }
     const auto now = std::chrono::steady_clock::now();
     if (now >= deadline) {
       metrics_.wait_timeout->inc();
       kick();
-      return s.done();
+      done = s.done();
+      break;
     }
     const auto remaining =
         std::chrono::duration_cast<std::chrono::nanoseconds>(deadline - now);
@@ -155,11 +151,13 @@ bool NmpCore::wait_done_for(std::uint32_t index,
                             : std::chrono::nanoseconds(kWaitWindow);
     if (!util::timed_wait(s.status, observed, window)) {
       // Window expired with the slot still pending: recover a possibly lost
-      // combiner wakeup by re-notifying the pending counter.
+      // doorbell by kicking the server.
       metrics_.wait_timeout->inc();
       kick();
     }
   }
+  s.waiting.store(0, std::memory_order_relaxed);
+  return done;
 }
 
 void NmpCore::complete(const Picked& picked, std::uint64_t service_ns,
@@ -172,16 +170,14 @@ void NmpCore::complete(const Picked& picked, std::uint64_t service_ns,
   // would turn the supervisor's failed_over bounce into a retry of an
   // already-applied op (double execution on a false-positive fence of a
   // live-but-slow combiner). Delivery is safe because the supervisor only
-  // bounces after try_reap() joins this thread: a CAS that wins here is
-  // ordered before any takeover. A lost CAS means the slot was already
-  // bounced or reclaimed by its new owner — that late reply is rejected
-  // (dropped) rather than overwriting protocol state that is no longer ours.
-  // (Defense in depth: with the join gate the lost-CAS arm is unreachable.)
+  // bounces after try_seize() takes the pass token this pass holds: a CAS
+  // that wins here is ordered before any takeover. A lost CAS means the
+  // slot was already bounced or reclaimed by its new owner — that late
+  // reply is rejected (dropped) rather than overwriting protocol state that
+  // is no longer ours. (Defense in depth: with the token gate the lost-CAS
+  // arm is unreachable.)
   if (fence_.load(std::memory_order_acquire) != epoch) {
-    std::uint32_t expected = PubSlot::kPending;
-    if (s.status.compare_exchange_strong(expected, PubSlot::kDone,
-                                         std::memory_order_acq_rel)) {
-      s.status.notify_all();
+    if (s.publish_done_if_pending()) {
       served_.fetch_add(1, std::memory_order_relaxed);
       if constexpr (telemetry::kEnabled) metrics_.served_total->inc();
     }
@@ -190,14 +186,13 @@ void NmpCore::complete(const Picked& picked, std::uint64_t service_ns,
   std::uint64_t done = 0;
   if constexpr (trace::kCompiledIn) {
     if (picked.trace_id != 0) {
-      // Plain-written before the kDone release store so the host's acquire
-      // load may read it (kWake phase), exactly like `resp`.
+      // Plain-written before the kDone store so the host's acquire load may
+      // read it (kWake phase), exactly like `resp`.
       done = telemetry::now_ns();
       s.done_ns = done;
     }
   }
-  s.status.store(PubSlot::kDone, std::memory_order_release);
-  s.status.notify_all();
+  s.publish_done();
   served_.fetch_add(1, std::memory_order_relaxed);
   if constexpr (telemetry::kEnabled) {
     metrics_.queue_wait->record(
@@ -233,63 +228,9 @@ void NmpCore::complete(const Picked& picked, std::uint64_t service_ns,
   }
 }
 
-void NmpCore::run() {
-  // Flat-combining loop: repeatedly scan the publication list in slot order
-  // and serve pending requests. The NMP core is the *only* thread that runs
-  // handler_ / batch_handler_, so everything they touch in the partition is
-  // race-free.
-  std::vector<Picked> picked;
-  std::vector<BatchOp> batch;
-  picked.reserve(slots_.size());
-  batch.reserve(slots_.size());
-  // This incarnation is valid only for the fence epoch it was born under;
-  // a raised fence (failover) retires it at the next pass top.
-  const std::uint64_t epoch = fence_.load(std::memory_order_acquire);
-  while (true) {
-    if (fence_.load(std::memory_order_acquire) != epoch) break;
-    // Lifecycle fault hooks: abort kills this thread outright; wedge pins it
-    // at the pass top — runnable but not serving — until it is fenced (or
-    // the core is stopped, so an unfenced wedge cannot hang shutdown).
-    if (fault::kCompiledIn && fault::FaultInjector::armed()) {
-      if (fault::FaultInjector::fire(fault::Kind::kCombinerAbort, id_)) break;
-      if (fault::FaultInjector::fire(fault::Kind::kCombinerWedge, id_)) {
-        while (fence_.load(std::memory_order_acquire) == epoch &&
-               !stop_.load(std::memory_order_acquire)) {
-          std::this_thread::sleep_for(std::chrono::microseconds(50));
-        }
-        continue;  // pass top re-checks: fence -> exit, stop -> drain
-      }
-    }
-    // Fault hook: a stalled combiner sleeps before scanning, starving its
-    // partition for the stall window (watchdog territory).
-    fault::maybe_stall(fault::Kind::kCombinerStall, id_);
-    const std::uint64_t seen = pending_.load(std::memory_order_acquire);
-    const std::uint32_t served_this_pass = scan_and_serve(picked, batch, epoch);
-    if (served_this_pass > 0) {
-      if constexpr (telemetry::kEnabled) {
-        metrics_.batch->record(served_this_pass);
-      }
-      continue;
-    }
-    if (stop_.load(std::memory_order_acquire)) {
-      // One final scan already found nothing; safe to exit only if no new
-      // posts arrived after we observed `seen`.
-      if (pending_.load(std::memory_order_acquire) == seen) break;
-      continue;
-    }
-    idle_passes_.fetch_add(1, std::memory_order_relaxed);
-    metrics_.park->inc();
-    // Park until someone posts (or stop()/fence_raise() bumps the counter).
-    pending_.wait(seen, std::memory_order_acquire);
-  }
-  // Last store of the service loop: after this, try_reap()'s join cannot
-  // block more than the time it takes the thread to unwind.
-  exited_.store(true, std::memory_order_release);
-}
-
-std::uint32_t NmpCore::scan_and_serve(std::vector<Picked>& picked,
-                                      std::vector<BatchOp>& batch,
-                                      std::uint64_t epoch) {
+std::uint32_t NmpCore::scan_and_serve(std::uint64_t epoch) {
+  std::vector<Picked>& picked = picked_;
+  std::vector<BatchOp>& batch = batch_;
   if constexpr (telemetry::kEnabled) {
     // Publication-slot occupancy at scan time, observed before serving
     // (relaxed loads; the serving pass below re-checks with acquire).
@@ -399,6 +340,9 @@ std::uint32_t NmpCore::scan_and_serve(std::vector<Picked>& picked,
       complete(p, telemetry::now_ns() - h0, epoch);
       ++served_this_pass;
     }
+  }
+  if constexpr (telemetry::kEnabled) {
+    if (served_this_pass > 0) metrics_.batch->record(served_this_pass);
   }
   return served_this_pass;
 }

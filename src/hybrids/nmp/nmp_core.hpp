@@ -1,20 +1,23 @@
-// Software emulation of an NMP core: one combiner thread with exclusive
-// ownership of a memory partition, serving a publication list.
+// Software emulation of an NMP core: a memory partition with exclusive,
+// single-threaded service of its publication list.
 //
 // This is the UPMEM-style software realization of the paper's NMP core
-// (in-order processor coupled to a memory vault): a dedicated thread is the
-// only one ever touching partition-local nodes, so partition-local code is
-// single-threaded by construction — exactly the property the hybrid
-// algorithms rely on (§3.2). The thread spins over the publication list and
-// parks on a futex when idle, so the runtime behaves on oversubscribed
-// machines.
+// (in-order processor coupled to a memory vault). An NmpCore holds the
+// partition's publication list and its combiner pass (scan_and_serve); the
+// threads that run those passes belong to a CombinerPool
+// (combiner_pool.hpp), which serves many partitions with a few threads, as
+// a few server cores serve many clients. Whoever runs a pass — a pool
+// thread, or a host thread under a failover lease — first takes the
+// partition's pass token, so exactly one thread ever touches
+// partition-local nodes at a time and partition-local code is
+// single-threaded by construction: the property the hybrid algorithms rely
+// on (§3.2).
 #pragma once
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <functional>
-#include <thread>
 #include <vector>
 
 #include "hybrids/nmp/publication.hpp"
@@ -22,11 +25,25 @@
 
 namespace hybrids::nmp {
 
+class CombinerPool;
+
+/// A pool thread's doorbell: the futex word it parks on and the flag that
+/// tells posters whether it is parked (see the handshake in publication.hpp).
+struct alignas(util::kCacheLineSize) Doorbell {
+  std::atomic<std::uint32_t> word{0};
+  std::atomic<std::uint32_t> parked{0};
+
+  /// Bumps the word and issues FUTEX_WAKE; counts one `wake_total`. The
+  /// owner re-scans all its partitions after seeing the word move.
+  void ring() noexcept;
+};
+
 /// A single emulated NMP core.
 ///
-/// The `handler` is invoked on the combiner thread for every pending request,
-/// in slot order (flat combining). It must only touch partition-local state
-/// plus the request/response structs; it runs with no locks held.
+/// The `handler` is invoked by the partition's server for every pending
+/// request, in slot order (flat combining). It must only touch
+/// partition-local state plus the request/response structs; it runs with no
+/// locks held.
 ///
 /// With a batch handler additionally installed (set_batch_handler), a scan
 /// pass that finds two or more pending requests is served as one key-sorted
@@ -36,31 +53,26 @@ namespace hybrids::nmp {
 /// structures amortize traversal work across key-adjacent operations with a
 /// finger (see NmpSkipList / NmpBTree) — the combiner loop is the throughput
 /// ceiling of the hybrid design, so work saved here is end-to-end win.
-/// Responses are then published (kDone + notify) in original slot order, so
+/// Responses are then published (kDone + wake) in original slot order, so
 /// hosts observe exactly the protocol of the one-at-a-time path. Passes with
 /// a single pending request always use the plain handler; so do cores with
 /// no batch handler registered.
 class NmpCore {
  public:
   using Handler = std::function<void(const Request&, Response&)>;
-  /// Invoked on the combiner thread with `count >= 2` operations sorted by
+  /// Invoked by the server with `count >= 2` operations sorted by
   /// ascending request key. Must write every `ops[i].resp` before returning;
   /// the core publishes them afterwards. Same restrictions as Handler.
   using BatchHandler = std::function<void(BatchOp* ops, std::size_t count)>;
 
   NmpCore(std::uint32_t id, std::uint32_t slot_count, Handler handler);
-  ~NmpCore();
 
   NmpCore(const NmpCore&) = delete;
   NmpCore& operator=(const NmpCore&) = delete;
 
-  /// Installs the optional batch handler. Must be called before start().
+  /// Installs the optional batch handler. Must be called before a pool
+  /// starts serving the core.
   void set_batch_handler(BatchHandler handler);
-
-  /// Launches the combiner thread. Idempotent.
-  void start();
-  /// Drains outstanding requests and joins the combiner thread. Idempotent.
-  void stop();
 
   std::uint32_t id() const { return id_; }
   std::uint32_t slot_count() const { return static_cast<std::uint32_t>(slots_.size()); }
@@ -69,7 +81,8 @@ class NmpCore {
   /// caller (see PartitionSet / SlotPool).
   PubSlot& slot(std::uint32_t index) { return *slots_[index]; }
 
-  /// Host side: publish `r` into slot `index` and wake the combiner.
+  /// Host side: publish `r` into slot `index` and ring the serving pool
+  /// thread's doorbell if it is parked.
   void post(std::uint32_t index, const Request& r);
 
   /// Host side: block until slot `index` holds a response. Internally waits
@@ -77,31 +90,35 @@ class NmpCore {
   /// never hangs on a dropped futex notify.
   void wait_done(std::uint32_t index);
 
-  /// Host side: bounded wait — spin, then yield, then park on a timed futex
-  /// until slot `index` holds a response or `timeout` elapses. Returns true
-  /// iff the response is available. After each expired wait window the
-  /// pending counter is re-notified (lost-wakeup recovery: a combiner whose
-  /// doorbell was dropped re-scans) and `wait_timeout_total` is bumped.
+  /// Host side: bounded wait — spin, then yield, then raise the slot's
+  /// `waiting` flag and park on a timed futex until slot `index` holds a
+  /// response or `timeout` elapses. Returns true iff the response is
+  /// available. After each expired wait window the server is kicked
+  /// (lost-doorbell recovery: a pool thread whose doorbell was dropped
+  /// re-scans) and `wait_timeout_total` is bumped.
   bool wait_done_for(std::uint32_t index, std::chrono::nanoseconds timeout);
 
-  /// Re-wakes the combiner if it is parked (watchdog / lost-wakeup
-  /// recovery). Safe from any thread; a spurious kick costs one idle scan.
+  /// Rings the serving pool thread's doorbell, so it re-scans every
+  /// partition it serves — parked or not (watchdog / lost-doorbell
+  /// recovery). Safe from any thread.
   void kick();
 
   // --- Failover support (see the supervisor in partition_set.cpp) ---------
   //
-  // A *fence* invalidates the current combiner incarnation: the service loop
-  // captures the fence epoch when it starts, re-checks it at every pass top
-  // (stale -> the thread exits), and re-checks it in complete() (stale ->
-  // the publish degrades from a blind kDone store to a kPending -> kDone
-  // CAS: already-run ops are still answered, but a reply to a slot some new
-  // owner has reclaimed is rejected). The supervisor then reaps the exited
-  // thread, bounces still-kPending slots with failed_over responses, and
-  // either start()s a fresh combiner over the same partition state or drives
-  // passes itself via drive_pass() (host-takeover lease).
+  // A pool serves a core only while it is *armed* at the current fence
+  // epoch. A *fence* (fence_raise) disarms it: pool threads skip it from
+  // their next round on, and a pass already running completes under the
+  // stale epoch, where complete() degrades from a blind kDone store to a
+  // kPending -> kDone CAS (already-run ops are still answered, but a reply
+  // to a slot some new owner has reclaimed is rejected). The supervisor
+  // then seizes the pass token (try_seize), bounces still-kPending slots
+  // with failed_over responses, and either re-arms the core on the pool
+  // (CombinerPool::rearm) or releases the token to host threads that drive
+  // passes themselves via drive_pass() (host-takeover lease).
 
-  /// Raises the fence epoch and wakes a parked combiner so it observes it.
-  /// Safe from any thread; only the supervisor should call it.
+  /// Raises the fence epoch (disarming the core) and kicks its pool thread
+  /// so a wedge it holds observes the fence. Safe from any thread; only the
+  /// supervisor should call it.
   void fence_raise();
 
   /// Current fence epoch (tests / diagnostics).
@@ -109,20 +126,35 @@ class NmpCore {
     return fence_.load(std::memory_order_acquire);
   }
 
-  /// True once the combiner thread has left its service loop (fence, abort
-  /// fault, or wedge-until-fenced release) and a join would not block.
-  bool exited() const { return exited_.load(std::memory_order_acquire); }
+  /// True while a pool serves the core: it is armed at the current fence
+  /// epoch. False once it is fenced, or its server died (kCombinerAbort).
+  bool armed() const {
+    return armed_.load(std::memory_order_acquire) ==
+           fence_.load(std::memory_order_acquire);
+  }
 
-  /// Joins the combiner thread iff it has exited. Returns true when the
-  /// thread was reaped (start() may then relaunch one). Must only be called
-  /// from the supervisor, serialized with start()/stop().
-  bool try_reap();
+  /// True once the core is disarmed (fenced, or its server aborted) and no
+  /// pass is in flight, so try_seize() would succeed.
+  bool quiesced() const {
+    return armed_.load(std::memory_order_acquire) !=
+               fence_.load(std::memory_order_acquire) &&
+           !busy_.load(std::memory_order_acquire);
+  }
 
-  /// Runs one full scan-and-serve pass on the *calling* thread (host-takeover
-  /// lease). The caller must be the partition's sole driver (no combiner
-  /// thread running, lease lock held) — the pass runs the handlers, so it
-  /// inherits the combiner's exclusive-ownership contract.
-  /// Returns the number of requests served.
+  /// Takes the pass token of a disarmed core. On success the caller is the
+  /// partition's sole server — no pool thread or lease driver can run a
+  /// pass — until it hands the core back through CombinerPool::rearm() or
+  /// unseize(). Fails while the core is armed or a pass is in flight.
+  bool try_seize();
+  /// Releases a token taken by try_seize() without re-arming the core
+  /// (the lease handoff: host threads then drive passes via drive_pass()).
+  void unseize() { busy_.store(false, std::memory_order_release); }
+
+  /// Runs one full scan-and-serve pass on the *calling* thread under the
+  /// current fence epoch (host-takeover lease), if the pass token is free.
+  /// The pass runs the handlers, so it holds the token throughout. Returns
+  /// the number of requests served (0 also when the token was busy or the
+  /// core is armed on the pool again).
   std::uint32_t drive_pass();
 
   /// Failover accounting: credit `n` supervisor-bounced slots as served so
@@ -136,19 +168,21 @@ class NmpCore {
   std::uint64_t served() const { return served_.load(std::memory_order_relaxed); }
   /// Number of requests posted so far (watchdog progress accounting).
   std::uint64_t posted() const { return posts_.load(std::memory_order_relaxed); }
-  /// Number of full scan passes that found no pending request.
-  std::uint64_t idle_passes() const { return idle_passes_.load(std::memory_order_relaxed); }
 
  private:
+  friend class CombinerPool;
+
+  /// armed_ value of a core no pool may serve (never a fence epoch).
+  static constexpr std::uint64_t kDisarmed = ~std::uint64_t{0};
+
   /// Telemetry instruments, registered per partition id at construction.
   /// All hot-path mutations are relaxed-atomic increments; they compile to
   /// no-ops under HYBRIDS_NO_TELEMETRY.
   struct Metrics {
     telemetry::Counter* served_total;
     telemetry::Counter* served_op[kOpCodeCount];  // indexed by OpCode
-    telemetry::Counter* park;          // combiner futex parks
-    telemetry::Counter* wake;          // host-side futex notifies (post/stop)
     telemetry::Counter* wait_timeout;  // expired bounded-wait windows
+    telemetry::Counter* posted;        // global host.offload_posted
     telemetry::LatencyRecorder* queue_wait;  // post -> pickup, ns
     telemetry::LatencyRecorder* service;     // handler execution, ns
     telemetry::LatencyRecorder* occupancy;   // pending slots at scan start
@@ -169,37 +203,48 @@ class NmpCore {
     std::uint64_t trace_id;   // sampled-op id (0: untraced), ditto
   };
 
-  void run();
+  bool try_acquire_pass() {
+    return !busy_.load(std::memory_order_relaxed) &&
+           !busy_.exchange(true, std::memory_order_acquire);
+  }
+  void release_pass() { busy_.store(false, std::memory_order_release); }
+
   /// One scan-and-serve pass over the publication list: occupancy sample,
   /// collection, spurious-response fault hooks, batch or one-at-a-time
-  /// apply. `epoch` is the fence epoch the pass runs under; see complete()
-  /// for what happens to completions when it goes stale. Returns the number
-  /// of requests served.
-  std::uint32_t scan_and_serve(std::vector<Picked>& picked,
-                               std::vector<BatchOp>& batch,
-                               std::uint64_t epoch);
-  /// Publishes one served slot: delayed-response fault hook, kDone release
-  /// store + notify, served accounting, per-op telemetry. When `epoch` no
-  /// longer matches the fence the publish becomes a kPending -> kDone CAS —
-  /// the already-run op is still answered, but a late reply to a slot a new
-  /// owner has reclaimed is rejected.
+  /// apply. The caller holds the pass token. `epoch` is the fence epoch the
+  /// pass runs under; see complete() for what happens to completions when
+  /// it goes stale. Returns the number of requests served.
+  std::uint32_t scan_and_serve(std::uint64_t epoch);
+  /// Publishes one served slot: delayed-response fault hook, kDone store
+  /// and reply handshake (PubSlot::publish_done), served accounting, per-op
+  /// telemetry. When `epoch` no longer matches the fence the publish becomes
+  /// a kPending -> kDone CAS — the already-run op is still answered, but a
+  /// late reply to a slot a new owner has reclaimed is rejected.
   void complete(const Picked& picked, std::uint64_t service_ns,
                 std::uint64_t epoch);
 
+  // Grouped by writer so a post and a pass do not bounce one cache line
+  // between the host and the server. Read-mostly once served:
   std::uint32_t id_;
   Handler handler_;
   BatchHandler batch_handler_;
   std::vector<util::CacheAligned<PubSlot>> slots_;
-  std::atomic<std::uint64_t> pending_{0};  // monotone post counter (futex word)
-  std::atomic<std::uint64_t> posts_{0};    // requests posted (excludes stop bumps)
-  std::atomic<bool> stop_{false};
-  std::atomic<std::uint64_t> fence_{0};    // failover fence epoch
-  std::atomic<bool> exited_{false};        // combiner left its service loop
-  std::atomic<std::uint64_t> served_{0};
-  std::atomic<std::uint64_t> idle_passes_{0};
   Metrics metrics_;
-  std::thread thread_;
-  bool started_ = false;
+  // Failover state; written only on fence, re-arm, pool start and stop.
+  std::atomic<std::uint64_t> fence_{0};          // failover fence epoch
+  std::atomic<std::uint64_t> armed_{kDisarmed};  // epoch the pool serves at
+  std::atomic<Doorbell*> bell_{nullptr};  // serving pool thread's doorbell
+  // Written by posting hosts.
+  alignas(util::kCacheLineSize) std::atomic<std::uint64_t> pending_{0};
+  // ^ bumped by every post (and by re-arming): what pool threads compare to
+  //   decide a re-scan.
+  std::atomic<std::uint64_t> posts_{0};  // requests posted
+  // Written by the server: the pass token, its accounting and its scratch
+  // (used only by the token holder).
+  alignas(util::kCacheLineSize) std::atomic<bool> busy_{false};
+  std::atomic<std::uint64_t> served_{0};
+  std::vector<Picked> picked_;
+  std::vector<BatchOp> batch_;
 };
 
 }  // namespace hybrids::nmp

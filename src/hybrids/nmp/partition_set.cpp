@@ -1,9 +1,11 @@
 #include "hybrids/nmp/partition_set.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <chrono>
 #include <stdexcept>
 #include <string>
+#include <thread>
 
 #include "hybrids/trace/trace.hpp"
 
@@ -61,7 +63,6 @@ PartitionSet::PartitionSet(const PartitionConfig& config) : config_(config) {
       std::make_unique<std::atomic<std::uint64_t>[]>(config_.partitions);
   recoveries_ =
       std::make_unique<std::atomic<std::uint64_t>[]>(config_.partitions);
-  lease_mu_ = std::make_unique<std::mutex[]>(config_.partitions);
   for (std::uint32_t p = 0; p < config_.partitions; ++p) {
     degraded_[p].store(false, std::memory_order_relaxed);
     lane_[p].store(kHealthy, std::memory_order_relaxed);
@@ -95,6 +96,16 @@ PartitionSet::PartitionSet(const PartitionConfig& config) : config_(config) {
 
 PartitionSet::~PartitionSet() { stop(); }
 
+std::uint32_t PartitionSet::combiner_threads() const {
+  if (pool_) return pool_->threads();
+  if (config_.combiner_threads > 0) {
+    return std::min(config_.combiner_threads, config_.partitions);
+  }
+  const std::uint32_t hw = std::max(1u, std::thread::hardware_concurrency());
+  const std::uint32_t free = hw > config_.max_threads ? hw - config_.max_threads : 1;
+  return std::min(config_.partitions, free);
+}
+
 void PartitionSet::set_handler(std::uint32_t p, NmpCore::Handler handler) {
   assert(!started_);
   // Rebuild the core with the handler installed (cores are cheap pre-start),
@@ -119,7 +130,13 @@ void PartitionSet::start() {
     lane_[p].store(kHealthy, std::memory_order_relaxed);
     force_failover_[p].store(false, std::memory_order_relaxed);
   }
-  for (auto& c : cores_) c->start();
+  std::vector<NmpCore*> cores;
+  for (auto& c : cores_) cores.push_back(c.get());
+  const bool idle_spin =
+      std::thread::hardware_concurrency() > config_.max_threads;
+  pool_ = std::make_unique<CombinerPool>(std::move(cores), combiner_threads(),
+                                         idle_spin);
+  pool_->start();
   if (config_.watchdog_interval_ms > 0) {
     watchdog_stop_ = false;
     watch_.assign(config_.partitions, WatchState{});
@@ -137,7 +154,8 @@ void PartitionSet::stop() {
     watchdog_cv_.notify_all();
     watchdog_.join();
   }
-  for (auto& c : cores_) c->stop();
+  pool_->stop();
+  pool_.reset();
   started_ = false;
 }
 
@@ -168,6 +186,11 @@ void PartitionSet::supervise(std::uint32_t p) {
   const std::uint64_t posted = core.posted();
   const bool outstanding = posted > served;
   const bool progressed = served != w.last_served;
+  // A lane the pool should be serving whose core is disarmed has lost its
+  // server (kCombinerAbort): a miss even while idle, so the death is
+  // recovered before the next post has to wait it out. Only the supervisor
+  // fences and re-arms, so no lane transition can race this read.
+  const bool dead = !core.armed();
   const bool forced =
       force_failover_[p].exchange(false, std::memory_order_acq_rel);
   const LaneState state = lane(p);
@@ -176,7 +199,7 @@ void PartitionSet::supervise(std::uint32_t p) {
     case kDegraded:
     case kRecovering: {
       w.last_served = served;  // recover() re-baselines after a bounce
-      if ((outstanding && !progressed) || forced) {
+      if ((outstanding && !progressed) || dead || forced) {
         // Missed heartbeat: re-wake the combiner (recovers lost wakeups and
         // nudges a descheduled thread) and escalate once the saturating miss
         // counter crosses the threshold (or a test forced the failover).
@@ -215,28 +238,27 @@ void PartitionSet::supervise(std::uint32_t p) {
       w.last_served = served;
       if (progressed) {
         w.misses = 0;
-        if (++w.clean >= config_.watchdog_misses_to_recover) {
-          // Hand the lane back to a dedicated combiner. Holding the lease
-          // lock across start() guarantees no host is mid-drive when the
-          // fresh thread takes over, and hosts that subsequently acquire
-          // the lock re-check the lane and stand down. The lane stays
-          // degraded (kRecovering) until the combiner proves itself too.
-          std::lock_guard<std::mutex> guard(lease_mu_[p]);
+        // Hand the lane back to the pool. Seizing the pass token means no
+        // host is mid-drive; the lane flips before the re-arm, so hosts
+        // stop driving, and one that checked the lane just before takes
+        // the token, finds the core armed and stands down (drive_pass).
+        // If a host holds it now, retry next tick (the streak is kept).
+        // The lane stays degraded (kRecovering) until the pool proves
+        // itself too.
+        if (++w.clean >= config_.watchdog_misses_to_recover &&
+            core.try_seize()) {
           w.clean = 0;
-          core.start();
           lane_[p].store(kRecovering, std::memory_order_release);
+          pool_->rearm(p, stuck_after());
           break;
         }
       }
       // Serve orphan posts (a post that landed between the bounce sweep and
       // its thread observing the lease) and keep an idle leased lane live.
-      // Note a leased lane is never re-fenced: there is no combiner thread
-      // to reap, and a blocking acquire of a lease held by a stuck host
-      // handler would wedge the supervisor itself.
-      if (lease_mu_[p].try_lock()) {
-        core.drive_pass();
-        lease_mu_[p].unlock();
-      }
+      // Note a leased lane is never re-fenced: no pool thread serves it,
+      // and the supervisor never blocks on a token a stuck host handler
+      // may hold.
+      core.drive_pass();
       break;
     }
   }
@@ -248,16 +270,17 @@ void PartitionSet::fence(std::uint32_t p) {
   failover_counter_[p]->inc();
   failovers_[p].fetch_add(1, std::memory_order_relaxed);
   watch_[p].clean = 0;
-  // A combiner that already exited (kCombinerAbort) reaps immediately, so
-  // the common kill case completes fence -> bounce -> respawn in one tick.
+  // With no pass in flight (kCombinerAbort, or an idle lane) the token is
+  // free, so the common kill case completes fence -> bounce -> re-arm in
+  // one tick.
   recover(p);
 }
 
 void PartitionSet::recover(std::uint32_t p) {
   NmpCore& core = *cores_[p];
-  if (!core.try_reap()) return;  // zombie still unwinding; next tick
-  // Sole-writer from here: the combiner thread is joined, hosts never write
-  // a slot they have posted until it turns kDone.
+  if (!core.try_seize()) return;  // fenced pass still running; next tick
+  // Sole writer from here: no pass can run without the token, and hosts
+  // never write a slot they have posted until it turns kDone.
   const std::uint64_t bounced = bounce_pending(p);
   if (bounced > 0) {
     bounced_counter_[p]->add(bounced);
@@ -269,10 +292,11 @@ void PartitionSet::recover(std::uint32_t p) {
   w.misses = 0;
   w.clean = 0;
   if (config_.failover == FailoverPolicy::kHostLease) {
+    core.unseize();
     lane_[p].store(kLeased, std::memory_order_release);
   } else {
-    core.start();
     lane_[p].store(kRecovering, std::memory_order_release);
+    pool_->rearm(p, stuck_after());
   }
   // Progress baseline restarts from the post-bounce count, so the bounce
   // credit itself cannot masquerade as served progress next tick.
@@ -298,8 +322,7 @@ std::uint64_t PartitionSet::bounce_pending(std::uint32_t p) {
                               static_cast<std::int16_t>(p));
       }
     }
-    s.status.store(PubSlot::kDone, std::memory_order_release);
-    s.status.notify_all();
+    s.publish_done();
     ++bounced;
   }
   return bounced;
@@ -360,23 +383,17 @@ Response PartitionSet::call_leased(std::uint32_t p, std::uint32_t slot,
   trace::record_span(r.trace_id, trace::Phase::kPublish, t0,
                      r.trace_id ? telemetry::now_ns() : 0, op, part);
   PubSlot& s = core.slot(slot);
-  // Host takeover: drive combiner passes ourselves under the lease lock
-  // until our response lands. The pass serves every pending slot, ours
-  // included, so concurrent leased callers make progress for each other.
-  // If the supervisor hands the lane back to a combiner meanwhile (it holds
-  // the lease across that transition and we re-check under the lock), fall
-  // back to the ordinary bounded wait.
+  // Host takeover: drive combiner passes ourselves, each under the pass
+  // token, until our response lands. The pass serves every pending slot,
+  // ours included, so concurrent leased callers make progress for each
+  // other. If the supervisor hands the lane back to the pool meanwhile (it
+  // seizes the token for that), fall back to the ordinary bounded wait.
   while (!s.done()) {
     if (lane(p) != kLeased) {
       core.wait_done(slot);
       break;
     }
-    if (lease_mu_[p].try_lock()) {
-      if (lane(p) == kLeased) core.drive_pass();
-      lease_mu_[p].unlock();
-    } else {
-      std::this_thread::yield();
-    }
+    if (core.drive_pass() == 0) std::this_thread::yield();
   }
   trace::record_span(r.trace_id, trace::Phase::kWake, s.done_ns,
                      r.trace_id ? telemetry::now_ns() : 0, op, part);

@@ -3,6 +3,7 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <memory>
@@ -10,6 +11,7 @@
 #include <thread>
 #include <vector>
 
+#include "hybrids/nmp/combiner_pool.hpp"
 #include "hybrids/nmp/nmp_core.hpp"
 
 namespace hybrids::nmp {
@@ -20,12 +22,13 @@ enum class FailoverPolicy : std::uint8_t {
   /// Mark degraded only; no fencing or recovery (pre-failover behavior).
   kNone,
   /// Fence the lane, bounce in-flight slots with failed_over responses, and
-  /// start a fresh combiner thread over the same partition state. Default.
+  /// re-arm the partition on the combiner pool (on a live pool thread if
+  /// its old one is wedged; see CombinerPool::rearm). Default.
   kRespawn,
-  /// Fence and bounce as above, but instead of respawning immediately, host
-  /// threads temporarily drive combiner passes themselves under a per-
-  /// partition lease; a fresh combiner is started once the lane has shown
-  /// `watchdog_misses_to_recover` progressing intervals.
+  /// Fence and bounce as above, but instead of re-arming immediately, host
+  /// threads temporarily drive combiner passes themselves under the
+  /// partition's pass token; the partition is re-armed on the pool once the
+  /// lane has shown `watchdog_misses_to_recover` progressing intervals.
   kHostLease,
 };
 
@@ -33,6 +36,15 @@ enum class FailoverPolicy : std::uint8_t {
 /// in-flight non-blocking calls a single host thread may have against one
 /// partition (the paper's hybrid-nonblocking4 uses 4); the resulting
 /// publication-list layout is documented once, at PartitionSet::thread_base.
+///
+/// `combiner_threads` sizes the CombinerPool that serves the partitions; 0
+/// picks min(partitions, max(1, hardware threads - max_threads)), leaving
+/// one core to each host thread (with at least as many host threads as
+/// cores that is one pool thread, which measured faster than one per core;
+/// see EXPERIMENTS.md). Pool threads spin briefly before parking only when
+/// the machine has more hardware threads than max_threads. The library,
+/// benches and examples all use the rule; a nonzero value pins the count,
+/// which the pool tests need.
 ///
 /// The watchdog monitors per-core served() progress: a core with posted but
 /// unserved requests and no progress across one interval is re-kicked (futex
@@ -49,6 +61,7 @@ struct PartitionConfig {
   std::uint32_t partitions = 8;
   std::uint32_t max_threads = 8;
   std::uint32_t slots_per_thread = 4;
+  std::uint32_t combiner_threads = 0;  // 0: the rule above
   Key partition_width = 0;  // keys in [p*width, (p+1)*width) -> partition p
   std::uint32_t watchdog_interval_ms = 10;    // 0 disables the watchdog
   std::uint32_t watchdog_misses_to_degrade = 5;
@@ -98,6 +111,10 @@ class PartitionSet {
   }
 
   NmpCore& core(std::uint32_t p) { return *cores_[p]; }
+
+  /// Combiner pool threads: the running count once started, else the count
+  /// start() would launch.
+  std::uint32_t combiner_threads() const;
 
   /// True from the moment the watchdog considers partition `p` wedged (no
   /// served() progress for watchdog_misses_to_degrade consecutive intervals
@@ -163,12 +180,14 @@ class PartitionSet {
   // (supervisor); host threads read it to pick a call path. Transitions:
   //   kHealthy -> kDegraded           degrade threshold crossed
   //   kDegraded -> kFenced            policy != kNone: fence epoch raised
-  //   kFenced -> kRecovering          zombie reaped, slots bounced, combiner
-  //                                   respawned (kRespawn)
-  //   kFenced -> kLeased              zombie reaped, slots bounced, hosts
-  //                                   drive passes (kHostLease)
-  //   kLeased -> kRecovering          hysteresis met: combiner respawned
-  //                                   under the lease lock
+  //   kFenced -> kRecovering          pass token seized, slots bounced,
+  //                                   partition re-armed on the pool
+  //                                   (kRespawn)
+  //   kFenced -> kLeased              pass token seized, slots bounced,
+  //                                   token released to hosts, who drive
+  //                                   passes (kHostLease)
+  //   kLeased -> kRecovering          hysteresis met: token seized from the
+  //                                   hosts, partition re-armed on the pool
   //   kRecovering -> kHealthy         hysteresis met: degraded_ cleared
   //   kRecovering/kLeased -> kFenced  stalled again: re-failover
   enum LaneState : std::uint8_t {
@@ -188,14 +207,21 @@ class PartitionSet {
   void supervise(std::uint32_t p);
   /// Fences partition `p` and moves its lane to kFenced.
   void fence(std::uint32_t p);
-  /// kFenced tick: reap the zombie, bounce in-flight slots, hand the lane
-  /// to a fresh combiner (kRespawn) or to the hosts (kHostLease).
+  /// kFenced tick: seize the pass token once the fenced pass (if any) has
+  /// finished, bounce in-flight slots, hand the lane back to the pool
+  /// (kRespawn) or to the hosts (kHostLease).
   void recover(std::uint32_t p);
   /// Completes every still-kPending slot of `p` with a failed_over response.
-  /// Only legal after the partition's combiner thread has been reaped.
+  /// Only legal while holding the partition's seized pass token.
   std::uint64_t bounce_pending(std::uint32_t p);
+  /// How long a pool thread may sit in one pass before rearm() treats it as
+  /// wedged: the watchdog's own degrade budget.
+  std::chrono::nanoseconds stuck_after() const {
+    return std::chrono::milliseconds(config_.watchdog_interval_ms) *
+           config_.watchdog_misses_to_degrade;
+  }
   /// Blocking call against a leased lane: post, then drive combiner passes
-  /// under the lease lock until the response lands.
+  /// (each under the pass token) until the response lands.
   Response call_leased(std::uint32_t p, std::uint32_t slot, const Request& r);
   /// Builds the immediate failed_over response used when a call arrives at
   /// a fenced lane (fast bounce: nothing is posted, so the host never waits
@@ -204,6 +230,7 @@ class PartitionSet {
 
   PartitionConfig config_;
   std::vector<std::unique_ptr<NmpCore>> cores_;
+  std::unique_ptr<CombinerPool> pool_;  // live between start() and stop()
   // Batch handlers are kept here as well as in the cores: set_handler()
   // rebuilds a core from scratch, so its batch handler must be re-applied.
   std::vector<NmpCore::BatchHandler> batch_handlers_;
@@ -229,11 +256,6 @@ class PartitionSet {
   std::unique_ptr<std::atomic<bool>[]> force_failover_; // trigger_failover()
   std::unique_ptr<std::atomic<std::uint64_t>[]> failovers_;
   std::unique_ptr<std::atomic<std::uint64_t>[]> recoveries_;
-  // Host-takeover lease: whoever holds partition p's lease mutex is its sole
-  // driver while the lane is kLeased (hosts and the supervisor drive passes
-  // under it; the supervisor also holds it across the respawn transition, so
-  // a fresh combiner never coexists with a lease driver).
-  std::unique_ptr<std::mutex[]> lease_mu_;
   std::vector<telemetry::Counter*> watchdog_fired_;     // per partition
   std::vector<telemetry::Counter*> degraded_counter_;   // per partition
   std::vector<telemetry::Counter*> failover_counter_;   // per partition

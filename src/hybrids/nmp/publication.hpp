@@ -23,6 +23,7 @@
 #include "hybrids/telemetry/counters.hpp"
 #include "hybrids/types.hpp"
 #include "hybrids/util/cache_aligned.hpp"
+#include "hybrids/util/futex.hpp"
 
 namespace hybrids::nmp {
 
@@ -145,8 +146,8 @@ struct BatchOp {
 ///     kPending is the publication fence: a combiner that acquire-loads
 ///     kPending therefore sees the complete request.
 ///  2. Only the combiner moves kPending -> kDone, after plain-writing
-///     `resp`. Its release store (plus notify) publishes the response to
-///     the host's acquire load in done()/wait_done(). With a batch handler
+///     `resp`. Its store (publish_done) publishes the response to the
+///     host's acquire load in done()/wait_done(). With a batch handler
 ///     installed (NmpCore::set_batch_handler) the combiner may serve a whole
 ///     scan pass as one key-sorted batch: every collected slot's `resp` is
 ///     written during the batch apply, and only afterwards are the kDone
@@ -162,24 +163,45 @@ struct BatchOp {
 /// partition is *fenced*, the supervisor may move kPending -> kDone on the
 /// dead combiner's behalf, writing a bounce response with `failed_over` set
 /// ("not applied; retry elsewhere"). This is safe against the zombie only
-/// because the supervisor first raises the fence epoch and *joins* the
-/// exited combiner thread before touching any slot — after the join there
-/// is exactly one writer again. A combiner that outlived its fence (a false
+/// because the supervisor first raises the fence epoch and then *seizes*
+/// the partition's pass token (NmpCore::try_seize), which no pool thread or
+/// lease driver can hold at the same time — once seized there is exactly
+/// one writer again. A combiner that outlived its fence (a false
 /// positive: it was slow, not dead) detects the stale epoch in complete()
 /// and switches from a blind kDone store to a kPending -> kDone CAS: ops it
 /// already ran are still answered (dropping them would double-execute on
-/// the host's retry — the CAS is join-ordered before any bounce, so it
-/// cannot race the supervisor), while a reply to a slot some new owner has
+/// the host's retry — the CAS happens before the pass token is released, so
+/// it cannot race the supervisor), while a reply to a slot some new owner has
 /// already moved on is rejected. Thus every failed_over response a host
 /// ever sees belongs to a request that was never picked up.
 ///
-/// NmpCore::post() additionally bumps the core's `pending_` futex word
-/// *after* the kPending store, also with release order. That ordering is
-/// load-bearing: a combiner woken by the futex acquire-loads `pending_`,
-/// which synchronizes-with the post's fetch_add and hence transitively with
-/// the slot write — the combiner can never observe the bumped counter yet
-/// miss the pending slot on its next full scan. (The scan itself re-checks
-/// each slot's status with acquire, so even an unrelated wake-up is safe.)
+/// Wakeups are two Dekker handshakes, one per direction. Each side raises
+/// its flag, issues a full fence (every access below is seq_cst), then
+/// checks the other side; the futex syscall is made only when the other
+/// side is parked, and at least one side always sees the other's write.
+///
+///  * Host -> combiner (the doorbell). NmpCore::post() stores kPending,
+///    bumps the core's `pending_` counter, then loads the serving pool
+///    thread's `parked` flag and rings its doorbell word only if the flag
+///    is set. A pool thread that finds no work spins for a short budget,
+///    then stores `parked`, snapshots its doorbell word, re-checks every
+///    assigned partition's `pending_` against what it last scanned, and only
+///    then parks on the word. Either the post sees `parked` and rings (the
+///    word moved, so the futex wait returns at once or is woken), or the
+///    re-check sees the bump and the thread does not park. The counter bump
+///    is ordered after the kPending store, so a thread that sees the bump
+///    finds the pending slot on its next scan (the scan re-checks each
+///    slot's status with acquire, so even an unrelated wake-up is safe).
+///  * Combiner -> host (the reply). A host in NmpCore::wait_done_for raises
+///    this slot's `waiting` flag, re-loads `status`, and parks on the status
+///    word only while it still reads kPending. Every kDone store — the
+///    combiner's complete(), its fenced-CAS path, and the supervisor's
+///    bounce sweep — goes through publish_done(), which loads `waiting`
+///    after the store and issues FUTEX_WAKE only when it is set. (A
+///    std::atomic::notify_all here would not do: libstdc++ 12 skips the
+///    syscall unless a std::atomic::wait waiter shares the address's
+///    waiter-pool bucket, so a host parked with a raw FUTEX_WAIT slept out
+///    its whole wait window.)
 struct alignas(util::kCacheLineSize) PubSlot {
   enum Status : std::uint32_t {
     kEmpty = 0,    // free for the owning host thread to fill
@@ -188,6 +210,7 @@ struct alignas(util::kCacheLineSize) PubSlot {
   };
 
   std::atomic<std::uint32_t> status{kEmpty};
+  std::atomic<std::uint32_t> waiting{0};  // host parked (or parking) on status
   Request req;
   Response resp;
   std::uint64_t posted_ns = 0;  // telemetry: post() timestamp (queue wait)
@@ -211,11 +234,36 @@ struct alignas(util::kCacheLineSize) PubSlot {
     return status.load(std::memory_order_acquire) == kDone;
   }
 
+  /// Combiner / supervisor side: publish the response (kPending -> kDone)
+  /// and wake the owning host iff it is parked on the slot.
+  void publish_done() noexcept {
+    status.store(kDone, std::memory_order_seq_cst);
+    wake_waiter();
+  }
+
+  /// As publish_done(), but only if the slot is still kPending (a fenced
+  /// combiner's reply; see the failover exception above). Returns whether
+  /// the reply was published.
+  bool publish_done_if_pending() noexcept {
+    std::uint32_t expected = kPending;
+    if (!status.compare_exchange_strong(expected, kDone,
+                                        std::memory_order_seq_cst)) {
+      return false;
+    }
+    wake_waiter();
+    return true;
+  }
+
   /// Host side: consume the response and release the slot.
   Response take() noexcept {
     Response r = resp;
     status.store(kEmpty, std::memory_order_release);
     return r;
+  }
+
+ private:
+  void wake_waiter() noexcept {
+    if (waiting.load(std::memory_order_seq_cst) != 0) util::futex_wake(status);
   }
 };
 

@@ -30,8 +30,6 @@ inline constexpr const char* kServedPrefix = "served_";  // + opcode name
 inline constexpr const char* kRetryStaleBeginNode = "retry_stale_begin_node";
 inline constexpr const char* kRetryParentSeqnum = "retry_parent_seqnum";
 inline constexpr const char* kBeginFromHead = "begin_from_head";
-inline constexpr const char* kParkTotal = "park_total";
-inline constexpr const char* kWakeTotal = "wake_total";
 inline constexpr const char* kQueueWaitNs = "queue_wait_ns";
 inline constexpr const char* kServiceNs = "service_ns";
 inline constexpr const char* kScanOccupancy = "scan_occupancy";
@@ -47,6 +45,10 @@ inline constexpr const char* kPartitionRecovered = "partition_recovered";
 inline constexpr const char* kFailoverBouncedOps = "failover_bounced_ops";
 inline constexpr const char* kTraceQueueWaitNs = "trace.queue_wait_ns";
 inline constexpr const char* kTraceServiceNs = "trace.service_ns";
+// Global scope (combiner pool).
+inline constexpr const char* kParkTotal = "park_total";
+inline constexpr const char* kWakeTotal = "wake_total";
+inline constexpr const char* kIdleSpinHitTotal = "idle_spin_hit_total";
 // Global scope (host side).
 inline constexpr const char* kOffloadPosted = "host.offload_posted";
 inline constexpr const char* kCallBlocking = "host.call_blocking";

@@ -1,9 +1,11 @@
-// Spin-wait primitives tuned for oversubscribed machines.
+// Spin-wait primitives for machines the runtime may oversubscribe.
 //
-// The software NMP runtime runs one combiner thread per partition; on a
-// machine with fewer hardware threads than partitions + host threads, a pure
-// spin loop livelocks. Waiters therefore spin briefly with a pause hint and
-// then fall back to yielding the CPU.
+// The software NMP runtime serves its partitions with a combiner pool sized
+// to leave each host thread a core (nmp/combiner_pool.hpp), but a caller
+// may still run more threads than the machine has, and then a pure spin
+// loop livelocks. Waiters therefore spin briefly with a pause hint and then
+// fall back to yielding the CPU; the runtime's longer waits park on a futex
+// (util/futex.hpp).
 #pragma once
 
 #include <cstdint>

@@ -1,16 +1,20 @@
-// Timed futex wait on a 32-bit atomic.
+// Raw futex wait/wake on a 32-bit atomic.
 //
-// C++20's std::atomic::wait has no deadline, which is exactly what the
-// resilient NMP runtime needs: a host thread parked on a publication slot
-// must be able to give up after a window, re-kick a possibly-stalled
-// combiner, and re-arm. On Linux we wait on the atomic's own cells with
-// FUTEX_WAIT_PRIVATE — the same word libstdc++/libc++ use for notify_one/
-// notify_all on a lock-free 4-byte atomic, so wakes from std::atomic
-// notifications are observed. Elsewhere we fall back to a sleep-slice poll.
+// The NMP runtime parks threads on plain atomics and wakes them itself:
+// a host parked on a publication slot's status word (with a deadline, so it
+// can give up after a window, re-kick a possibly stalled combiner and
+// re-arm) and a combiner-pool thread parked on its doorbell word. Every
+// wake is an explicit FUTEX_WAKE issued by the other side of a Dekker
+// handshake (see the protocol comment in nmp/publication.hpp) — never a
+// std::atomic::notify_*, whose implementation may skip the syscall when it
+// sees no std::atomic::wait waiter (libstdc++ 12 does), stranding a raw
+// FUTEX_WAIT until its timeout. Elsewhere than Linux the waits degrade to a
+// sleep-slice poll and wakes are no-ops.
 #pragma once
 
 #include <atomic>
 #include <chrono>
+#include <climits>
 #include <cstdint>
 
 #if defined(__linux__)
@@ -26,14 +30,16 @@
 
 namespace hybrids::util {
 
+static_assert(std::atomic<std::uint32_t>::is_always_lock_free,
+              "futex wait requires a lock-free 4-byte atomic");
+
 /// Blocks while `word` still holds `expected`, for at most `timeout`.
-/// Returns false iff the full timeout elapsed with no wake and no value
-/// change; true on wake, value change, or spurious return (callers must
-/// re-check the predicate either way).
+/// Returns false iff the full timeout elapsed with no wake — even if the
+/// value changed meanwhile, since a change nobody woke us for is a lost
+/// wakeup the caller should count; true on wake, a value already changed at
+/// entry, or spurious return. Callers re-check the predicate either way.
 inline bool timed_wait(std::atomic<std::uint32_t>& word, std::uint32_t expected,
                        std::chrono::nanoseconds timeout) {
-  static_assert(std::atomic<std::uint32_t>::is_always_lock_free,
-                "futex wait requires a lock-free 4-byte atomic");
   if (timeout <= std::chrono::nanoseconds::zero()) {
     return word.load(std::memory_order_acquire) != expected;
   }
@@ -44,10 +50,7 @@ inline bool timed_wait(std::atomic<std::uint32_t>& word, std::uint32_t expected,
   const long rc =
       syscall(SYS_futex, reinterpret_cast<std::uint32_t*>(&word),
               FUTEX_WAIT_PRIVATE, expected, &ts, nullptr, 0);
-  if (rc == -1 && errno == ETIMEDOUT) {
-    return word.load(std::memory_order_acquire) != expected;
-  }
-  return true;
+  return !(rc == -1 && errno == ETIMEDOUT);
 #else
   const auto deadline = std::chrono::steady_clock::now() + timeout;
   while (word.load(std::memory_order_acquire) == expected) {
@@ -55,6 +58,31 @@ inline bool timed_wait(std::atomic<std::uint32_t>& word, std::uint32_t expected,
     std::this_thread::sleep_for(std::chrono::microseconds(50));
   }
   return true;
+#endif
+}
+
+/// Blocks while `word` still holds `expected`, with no deadline. May return
+/// spuriously; callers re-check their predicate.
+inline void futex_wait(std::atomic<std::uint32_t>& word,
+                       std::uint32_t expected) {
+#if defined(__linux__)
+  syscall(SYS_futex, reinterpret_cast<std::uint32_t*>(&word),
+          FUTEX_WAIT_PRIVATE, expected, nullptr, nullptr, 0);
+#else
+  while (word.load(std::memory_order_acquire) == expected) {
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
+  }
+#endif
+}
+
+/// Wakes up to `count` threads parked on `word` (timed_wait / futex_wait).
+inline void futex_wake(std::atomic<std::uint32_t>& word, int count = INT_MAX) {
+#if defined(__linux__)
+  syscall(SYS_futex, reinterpret_cast<std::uint32_t*>(&word),
+          FUTEX_WAKE_PRIVATE, count, nullptr, nullptr, 0);
+#else
+  (void)word;
+  (void)count;
 #endif
 }
 

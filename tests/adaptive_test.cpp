@@ -41,16 +41,18 @@ TEST(SeqSkipListPromote, ReplacesShortNodeWithFullHeight) {
   hd::SeqSkipList::Node* old_node = list.read(25, list.head());
   ASSERT_NE(old_node, nullptr);
   ASSERT_EQ(old_node->height, 1);
+  // promote() recycles the short node it replaces, so read its version now
+  // and never dereference old_node afterwards.
+  const std::uint32_t old_version = old_node->version;
   int marker = 0;
   hd::SeqSkipList::Node* nn = list.promote(25, &marker);
   ASSERT_NE(nn, nullptr);
   EXPECT_EQ(nn->height, 6);
   EXPECT_EQ(nn->value, 250u);
   EXPECT_EQ(nn->host_ptr, &marker);
-  EXPECT_GT(nn->version, old_node->version);
-  // Old node is stale (begin-node detection) but inspectable.
-  EXPECT_TRUE(hd::SeqSkipList::is_stale(old_node));
-  // Structure remains a valid skiplist and the key is still reachable.
+  EXPECT_GT(nn->version, old_version);
+  // Structure remains a valid skiplist (validate() also rejects any
+  // reachable marked node) and the key is reachable through the new node.
   EXPECT_TRUE(list.validate());
   EXPECT_EQ(list.read(25, list.head()), nn);
   EXPECT_EQ(list.size(), 50u);

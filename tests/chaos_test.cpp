@@ -31,6 +31,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <cstdlib>
 #include <map>
 #include <thread>
@@ -179,21 +180,28 @@ struct FailoverTuning {
   nmp::FailoverPolicy policy = nmp::FailoverPolicy::kRespawn;
 };
 
-/// Pumps `op` until every partition reports healthy again. The degraded mark
-/// is sticky while idle (re-integration is hysteresis-gated on progressing
-/// intervals), so coming back requires driving traffic — which also proves
-/// the recovered lane serves again.
+/// Pumps `op` until every partition reports healthy at the same time. The
+/// degraded mark is sticky while idle (re-integration is hysteresis-gated on
+/// progressing intervals), so coming back requires driving traffic — which
+/// also proves the recovered lane serves again. A lane that re-integrated
+/// can still be fenced again while the others are pumped (a server
+/// descheduled past the 2 ms watchdog's budget, common under TSan), so the
+/// pump checks all of them on every round, not one after another.
 template <typename Op>
 void pump_until_recovered(nmp::PartitionSet& set, Op op) {
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  for (std::uint32_t p = 0; p < set.partitions(); ++p) {
-    while (set.degraded(p)) {
-      ASSERT_LT(std::chrono::steady_clock::now(), deadline)
-          << "partition " << p << " never re-integrated";
-      op();
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  const auto first_degraded = [&] {
+    for (std::uint32_t p = 0; p < set.partitions(); ++p) {
+      if (set.degraded(p)) return static_cast<std::int64_t>(p);
     }
+    return std::int64_t{-1};
+  };
+  for (std::int64_t p = first_degraded(); p >= 0; p = first_degraded()) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+        << "partition " << p << " never re-integrated";
+    op();
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
 }
 

@@ -8,6 +8,7 @@
 
 #include "hybrids/ds/hybrid_btree.hpp"
 #include "hybrids/ds/hybrid_skiplist.hpp"
+#include "hybrids/nmp/combiner_pool.hpp"
 #include "hybrids/nmp/nmp_core.hpp"
 #include "hybrids/workload/ycsb.hpp"
 
@@ -112,7 +113,8 @@ TEST(Integration, RetryInjectionThroughRuntime) {
     resp.ok = true;
     resp.value = req.key + 1;
   });
-  core.start();
+  hn::CombinerPool pool({&core}, 1);
+  pool.start();
   for (Key k = 1; k <= 20; ++k) {
     hn::Response r;
     do {
@@ -127,7 +129,7 @@ TEST(Integration, RetryInjectionThroughRuntime) {
     EXPECT_EQ(r.value, k + 1);
     EXPECT_EQ(attempts[k], 3);
   }
-  core.stop();
+  pool.stop();
 }
 
 TEST(Integration, SkiplistSplitSizingConsistentWithBTreeSizing) {

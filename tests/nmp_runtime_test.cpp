@@ -1,13 +1,24 @@
 // Tests for the software NMP runtime: publication-list handshake, combiner
-// serialization, partition routing, blocking and non-blocking calls.
+// serialization, the combiner pool, partition routing, blocking and
+// non-blocking calls.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <fstream>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
+#if defined(__linux__)
+#include <sys/syscall.h>
+#include <unistd.h>
+#endif
+
+#include "hybrids/nmp/combiner_pool.hpp"
+#include "hybrids/nmp/fault.hpp"
 #include "hybrids/nmp/nmp_core.hpp"
 #include "hybrids/nmp/partition_set.hpp"
 #include "hybrids/telemetry/registry.hpp"
@@ -38,7 +49,8 @@ TEST(NmpCore, ServesSingleRequest) {
     resp.ok = true;
     resp.value = req.key * 2;
   });
-  core.start();
+  hn::CombinerPool pool({&core}, 1);
+  pool.start();
   hn::Request r;
   r.op = hn::OpCode::kNop;
   r.key = 21;
@@ -47,7 +59,7 @@ TEST(NmpCore, ServesSingleRequest) {
   hn::Response resp = core.slot(0).take();
   EXPECT_TRUE(resp.ok);
   EXPECT_EQ(resp.value, 42u);
-  core.stop();
+  pool.stop();
   EXPECT_EQ(core.served(), 1u);
 }
 
@@ -60,7 +72,8 @@ TEST(NmpCore, HandlerRunsSingleThreaded) {
     inside.fetch_sub(1);
     resp.ok = true;
   });
-  core.start();
+  hn::CombinerPool pool({&core}, 1);
+  pool.start();
   std::vector<std::thread> threads;
   for (int t = 0; t < 4; ++t) {
     threads.emplace_back([&, t] {
@@ -75,18 +88,19 @@ TEST(NmpCore, HandlerRunsSingleThreaded) {
     });
   }
   for (auto& th : threads) th.join();
-  core.stop();
+  pool.stop();
   EXPECT_FALSE(overlapped.load());
   EXPECT_EQ(core.served(), 800u);
 }
 
 TEST(NmpCore, StopDrainsOutstandingWork) {
   hn::NmpCore core(0, 2, [](const hn::Request&, hn::Response& resp) { resp.ok = true; });
-  core.start();
+  hn::CombinerPool pool({&core}, 1);
+  pool.start();
   hn::Request r;
   core.post(0, r);
   core.post(1, r);
-  core.stop();  // must not lose the posted requests
+  pool.stop();  // must not lose the posted requests
   EXPECT_TRUE(core.slot(0).done());
   EXPECT_TRUE(core.slot(1).done());
 }
@@ -98,10 +112,11 @@ TEST(NmpCore, StopDrainsPendingBehindSlowHandler) {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
     resp.ok = true;
   });
-  core.start();
+  hn::CombinerPool pool({&core}, 1);
+  pool.start();
   hn::Request r;
   for (std::uint32_t i = 0; i < 4; ++i) core.post(i, r);
-  core.stop();
+  pool.stop();
   for (std::uint32_t i = 0; i < 4; ++i) {
     EXPECT_TRUE(core.slot(i).done()) << "slot " << i << " lost at stop()";
   }
@@ -118,7 +133,8 @@ TEST(NmpCore, WaitDoneForTimesOutAgainstStalledHandler) {
     }
     resp.ok = true;
   });
-  core.start();
+  hn::CombinerPool pool({&core}, 1);
+  pool.start();
   hn::Request r;
   core.post(0, r);
   EXPECT_FALSE(core.wait_done_for(0, std::chrono::milliseconds(20)));
@@ -130,7 +146,7 @@ TEST(NmpCore, WaitDoneForTimesOutAgainstStalledHandler) {
   release.store(true, std::memory_order_release);
   core.wait_done(0);
   EXPECT_TRUE(core.slot(0).take().ok);
-  core.stop();
+  pool.stop();
 }
 
 TEST(NmpCore, BatchHandlerSeesKeySortedOpsAndRoutesResponsesBySlot) {
@@ -163,9 +179,10 @@ TEST(NmpCore, BatchHandlerSeesKeySortedOpsAndRoutesResponsesBySlot) {
     r.key = keys[s];
     core.post(s, r);
   }
-  core.start();
+  hn::CombinerPool pool({&core}, 1);
+  pool.start();
   for (std::uint32_t s = 0; s < 4; ++s) core.wait_done(s);
-  core.stop();
+  pool.stop();
   // The batch was applied in ascending key order...
   ASSERT_EQ(calls, 1u);
   ASSERT_EQ(order.size(), 4u);
@@ -196,12 +213,13 @@ TEST(NmpCore, SinglePendingRequestUsesLegacyHandler) {
   r.op = hn::OpCode::kNop;
   r.key = 7;
   core.post(0, r);
-  core.start();
+  hn::CombinerPool pool({&core}, 1);
+  pool.start();
   core.wait_done(0);
   hn::Response resp = core.slot(0).take();
   EXPECT_TRUE(resp.ok);
   EXPECT_EQ(resp.value, 8u);
-  core.stop();
+  pool.stop();
   EXPECT_FALSE(batch_ran.load());
 }
 
@@ -225,22 +243,24 @@ TEST(NmpCore, EqualKeysKeepSlotOrderInBatch) {
     r.value = s;              // slot index, to observe ordering
     core.post(s, r);
   }
-  core.start();
+  hn::CombinerPool pool({&core}, 1);
+  pool.start();
   for (std::uint32_t s = 0; s < 4; ++s) core.wait_done(s);
-  core.stop();
+  pool.stop();
   EXPECT_EQ(order, (std::vector<hn::Value>{2, 3, 0, 1}));
 }
 
 TEST(NmpCore, RestartAfterStop) {
   hn::NmpCore core(3, 2, [](const hn::Request&, hn::Response& resp) { resp.ok = true; });
-  core.start();
-  core.stop();
-  core.start();
+  hn::CombinerPool pool({&core}, 1);
+  pool.start();
+  pool.stop();
+  pool.start();
   hn::Request r;
   core.post(0, r);
   core.wait_done(0);
   EXPECT_TRUE(core.slot(0).take().ok);
-  core.stop();
+  pool.stop();
 }
 
 namespace {
@@ -375,10 +395,11 @@ TEST(PartitionSet, WatchdogDegradesStalledPartitionAndRecovers) {
 }
 
 TEST(NmpCore, FencedCombinerStillDeliversInFlightReply) {
-  // A fence raised while the combiner is inside a handler retires the
-  // incarnation at the next pass top, but the op it already ran must still
-  // be answered: the supervisor only bounces after try_reap() joins the
-  // zombie, so its completion CAS is ordered before any takeover. Dropping
+  // A fence raised while the combiner is inside a handler disarms the
+  // partition from the next pass on, but the op it already ran must still
+  // be answered: the supervisor only bounces after try_seize() takes the
+  // pass token the zombie pass holds, so its completion CAS is ordered
+  // before any takeover. Dropping
   // the reply instead would make the host's failed_over retry re-execute an
   // already-applied op.
   std::atomic<bool> entered{false};
@@ -390,7 +411,8 @@ TEST(NmpCore, FencedCombinerStillDeliversInFlightReply) {
     }
     resp.ok = true;
   });
-  core.start();
+  hn::CombinerPool pool({&core}, 1);
+  pool.start();
   hn::Request r;
   core.post(0, r);
   while (!entered.load(std::memory_order_acquire)) {
@@ -400,22 +422,22 @@ TEST(NmpCore, FencedCombinerStillDeliversInFlightReply) {
   release.store(true, std::memory_order_release);
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (!core.exited() && std::chrono::steady_clock::now() < deadline) {
+  while (!core.quiesced() && std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::microseconds(50));
   }
-  ASSERT_TRUE(core.exited());
-  ASSERT_TRUE(core.try_reap());
-  // The zombie's reply landed before the (join-gated) takeover window: the
+  ASSERT_TRUE(core.quiesced());
+  ASSERT_TRUE(core.try_seize());
+  // The zombie's reply landed before the (token-gated) takeover window: the
   // slot is done with the real response, and nothing is left to bounce.
   EXPECT_TRUE(core.slot(0).done());
   EXPECT_TRUE(core.slot(0).take().ok);
   EXPECT_EQ(core.served(), 1u);
-  // Respawn over the same slots: the fresh combiner serves new posts.
-  core.start();
+  // Re-arm over the same slots: the pool serves new posts again.
+  pool.rearm(0, std::chrono::seconds(1));
   core.post(0, r);
   core.wait_done(0);
   EXPECT_TRUE(core.slot(0).take().ok);
-  core.stop();
+  pool.stop();
 }
 
 TEST(NmpCore, StaleReplyRejectedAfterSlotTakeover) {
@@ -423,8 +445,8 @@ TEST(NmpCore, StaleReplyRejectedAfterSlotTakeover) {
   // combiner's reply arrives after the slot has already been taken over
   // (bounced to kDone by a new owner), the late publish must be rejected
   // rather than overwrite protocol state it no longer owns. The real
-  // supervisor can never reach this arm — it bounces only after joining the
-  // zombie — so the takeover is simulated directly on the slot.
+  // supervisor can never reach this arm — it bounces only after seizing the
+  // zombie pass's token — so the takeover is simulated directly on the slot.
   std::atomic<bool> entered{false};
   std::atomic<bool> release{false};
   hn::NmpCore core(0, 2, [&](const hn::Request&, hn::Response& resp) {
@@ -434,7 +456,8 @@ TEST(NmpCore, StaleReplyRejectedAfterSlotTakeover) {
     }
     resp.ok = true;
   });
-  core.start();
+  hn::CombinerPool pool({&core}, 1);
+  pool.start();
   hn::Request r;
   core.post(0, r);
   while (!entered.load(std::memory_order_acquire)) {
@@ -448,11 +471,11 @@ TEST(NmpCore, StaleReplyRejectedAfterSlotTakeover) {
   release.store(true, std::memory_order_release);
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (!core.exited() && std::chrono::steady_clock::now() < deadline) {
+  while (!core.quiesced() && std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::microseconds(50));
   }
-  ASSERT_TRUE(core.exited());
-  ASSERT_TRUE(core.try_reap());
+  ASSERT_TRUE(core.quiesced());
+  ASSERT_TRUE(core.try_seize());
   // The zombie's completion CAS lost: the takeover response survives and
   // the zombie counted nothing as served.
   const hn::Response out = core.slot(0).take();
@@ -589,7 +612,7 @@ TEST(PartitionSet, HostLeaseServesUnderFence) {
   EXPECT_TRUE(set.retrieve(h2).failed_over);
 
   // Under the lease, host threads drive combiner passes themselves: calls
-  // are served (not bounced) even though no combiner thread exists yet.
+  // are served (not bounced) even though no pool thread serves the lane.
   ASSERT_TRUE(wait_for([&] {
     hn::Response resp = set.call(0, 1, r);
     return !resp.failed_over && resp.ok && resp.value == r.key + 1;
@@ -847,4 +870,405 @@ TEST(PartitionSet, ConcurrentMixedBlockingAndAsync) {
   for (auto& th : threads) th.join();
   set.stop();
   EXPECT_EQ(sum.load(), expected.load());
+}
+
+// ---------------------------------------------------------------------------
+// Combiner pool: a few service threads over many partitions.
+
+namespace {
+hn::PartitionConfig pool_config(std::uint32_t partitions,
+                                std::uint32_t combiner_threads,
+                                std::uint32_t host_threads) {
+  hn::PartitionConfig cfg;
+  cfg.partitions = partitions;
+  cfg.max_threads = host_threads;
+  cfg.slots_per_thread = 2;
+  cfg.combiner_threads = combiner_threads;
+  cfg.partition_width = 1000;
+  return cfg;
+}
+
+#if defined(__linux__)
+std::int64_t steady_now_ns() {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
+/// Scheduler state letter of thread `tid` of this process ('S': sleeping
+/// in the kernel — here only ever a futex wait), or 0 if unreadable.
+char thread_state(long tid) {
+  std::ifstream in("/proc/self/task/" + std::to_string(tid) + "/stat");
+  std::string line;
+  std::getline(in, line);
+  const auto close = line.rfind(')');
+  return close == std::string::npos || close + 2 >= line.size()
+             ? 0
+             : line[close + 2];
+}
+
+#endif
+}  // namespace
+
+TEST(CombinerPool, ReplyWakesParkedHost) {
+  // Regression test for the lost reply wakeup: a host parked on its slot
+  // with a raw FUTEX_WAIT must be woken by the completion itself, not sleep
+  // out its 2 ms wait window. The handler holds each reply until the
+  // blocking host has actually parked (bounded at ~5 ms), so every call
+  // exercises the combiner -> host handshake against a sleeping host.
+  //
+  // Wall-clock latency alone would make this flaky on a loaded machine, so
+  // an observer thread watches each call instead: once it sees the reply
+  // published, a woken host leaves the sleeping state at once (it turns
+  // runnable even if it cannot run yet), while a host whose wake was lost
+  // stays asleep until its window expires. A call is judged only when the
+  // handler saw the host parked and the observer saw the reply within
+  // 1.5 ms of the call's start — then the reply landed inside the host's
+  // window, which opens after the post, so a window expiry
+  // (wait_timeout_total) also means a lost wake.
+  if constexpr (!ht::kEnabled) GTEST_SKIP() << "telemetry compiled out";
+#if !defined(__linux__)
+  GTEST_SKIP() << "needs /proc thread states";
+#else
+  constexpr std::int64_t kUs = 1000;
+  constexpr int kMaxCalls = 5000;
+  constexpr int kJudged = 50;
+  hn::PartitionConfig cfg = pool_config(1, 1, 1);
+  cfg.watchdog_interval_ms = 0;
+  hn::PartitionSet set(cfg);
+  std::atomic<long> host_tid{0};
+  // Per call: whether the handler saw the host parked, when the call
+  // started, when the observer first saw the reply, and whether the host
+  // slept on after it.
+  std::vector<std::atomic<bool>> host_parked(kMaxCalls);
+  std::vector<std::int64_t> started(kMaxCalls);
+  std::vector<std::atomic<std::int64_t>> reply_seen(kMaxCalls);
+  std::vector<std::atomic<bool>> slept_on(kMaxCalls);
+  set.set_handler(0, [&](const hn::Request& req, hn::Response& resp) {
+    const auto give_up = std::chrono::steady_clock::now() +
+                         std::chrono::milliseconds(5);
+    bool parked = false;
+    while (!parked && std::chrono::steady_clock::now() < give_up) {
+      parked = thread_state(host_tid.load()) == 'S';
+    }
+    host_parked[req.key].store(parked);
+    resp.ok = true;
+  });
+  set.start();
+  host_tid.store(static_cast<long>(syscall(SYS_gettid)));
+  hn::PubSlot& slot = set.core(0).slot(0);  // thread 0's blocking slot
+  std::atomic<int> current{-1};
+  std::atomic<bool> done{false};
+  std::thread observer([&] {
+    while (!done.load()) {
+      const int call = current.load();
+      if (call < 0 || slot.status.load() != hn::PubSlot::kDone) continue;
+      const std::int64_t now = steady_now_ns();
+      std::int64_t first = 0;
+      if (reply_seen[call].compare_exchange_strong(first, now)) continue;
+      if (now - first > 500 * kUs && thread_state(host_tid.load()) == 'S' &&
+          slot.status.load() == hn::PubSlot::kDone && current.load() == call) {
+        slept_on[call].store(true);
+      }
+    }
+  });
+  // Whether call i qualifies for judging (see above).
+  const auto judged = [&](int i) {
+    const std::int64_t seen = reply_seen[i].load();
+    return host_parked[i].load() && seen != 0 &&
+           seen - started[i] <= 1500 * kUs;
+  };
+  // Calls run until enough qualify; a loaded machine spoils many.
+  std::vector<int> expired;
+  int calls = 0;
+  for (int qualified = 0; qualified < kJudged && calls < kMaxCalls; ++calls) {
+    const int i = calls;
+    const std::uint64_t before =
+        ht::snapshot().counter_total(ht::names::kWaitTimeoutTotal);
+    started[i] = steady_now_ns();
+    current.store(i);
+    hn::Request r;
+    r.key = static_cast<hn::Key>(i);
+    EXPECT_TRUE(set.call(0, 0, r).ok);
+    current.store(-1);
+    if (ht::snapshot().counter_total(ht::names::kWaitTimeoutTotal) != before) {
+      expired.push_back(i);
+    }
+    qualified += judged(i);
+  }
+  done.store(true);
+  observer.join();
+  set.stop();
+  int qualified = 0;
+  for (int i = 0; i < calls; ++i) {
+    if (!judged(i)) continue;
+    ++qualified;
+    EXPECT_FALSE(slept_on[i].load())
+        << "call " << i << ": the parked host slept through its reply";
+    EXPECT_EQ(std::count(expired.begin(), expired.end(), i), 0)
+        << "call " << i << ": the parked host's 2 ms wait window expired";
+  }
+  EXPECT_GE(qualified, kJudged) << "too few calls found the host parked";
+#endif
+}
+
+TEST(CombinerPool, DefaultSizeLeavesCoresToHosts) {
+  // The auto rule: min(partitions, max(1, hardware threads - host threads)).
+  const std::uint32_t hw = std::max(1u, std::thread::hardware_concurrency());
+  const std::uint32_t free = hw > 2 ? hw - 2 : 1;
+  hn::PartitionSet set(pool_config(8, 0, 2));
+  EXPECT_EQ(set.combiner_threads(), std::min(8u, free));
+  hn::PartitionSet one(pool_config(8, 0, hw + 4));
+  EXPECT_EQ(one.combiner_threads(), 1u);
+  hn::PartitionSet explicit_set(pool_config(8, 3, 2));
+  explicit_set.start();
+  EXPECT_EQ(explicit_set.combiner_threads(), 3u);
+  explicit_set.stop();
+  hn::PartitionSet capped(pool_config(2, 16, 2));
+  EXPECT_EQ(capped.combiner_threads(), 2u);
+}
+
+TEST(CombinerPool, SingleOwnerPerPartitionWithSharedThreads) {
+  // Two threads serve eight partitions while hosts hammer them with blocking
+  // and async calls and the supervisor fences partitions (re-arming them on
+  // the pool, or leasing them to the hosts): no handler may ever be entered
+  // concurrently on the same partition.
+  constexpr std::uint32_t kParts = 8;
+  constexpr std::uint32_t kHosts = 4;
+  for (const hn::FailoverPolicy policy :
+       {hn::FailoverPolicy::kRespawn, hn::FailoverPolicy::kHostLease}) {
+    hn::PartitionConfig cfg = pool_config(kParts, 2, kHosts);
+    cfg.watchdog_interval_ms = 2;
+    cfg.watchdog_misses_to_degrade = 2;
+    cfg.watchdog_misses_to_recover = 2;
+    cfg.failover = policy;
+    hn::PartitionSet set(cfg);
+    std::vector<std::atomic<int>> inside(kParts);
+    std::atomic<bool> overlapped{false};
+    std::atomic<std::uint64_t> applied{0};
+    for (std::uint32_t p = 0; p < kParts; ++p) {
+      set.set_handler(p, [&, p](const hn::Request& req, hn::Response& resp) {
+        if (inside[p].fetch_add(1) != 0) overlapped.store(true);
+        for (int spin = 0; spin < 50; ++spin) {
+          if (inside[p].load() != 1) overlapped.store(true);
+        }
+        inside[p].fetch_sub(1);
+        applied.fetch_add(1);
+        resp.ok = true;
+        resp.value = req.key + 1;
+      });
+    }
+    set.start();
+    EXPECT_EQ(set.combiner_threads(), 2u);
+    std::atomic<std::uint64_t> answered{0};
+    std::atomic<bool> wrong{false};
+    std::vector<std::thread> hosts;
+    for (std::uint32_t t = 0; t < kHosts; ++t) {
+      hosts.emplace_back([&, t] {
+        for (std::uint32_t i = 0; i < 1500; ++i) {
+          hn::Request r;
+          r.key = static_cast<hn::Key>((i * 7 + t * 131) % (kParts * 1000));
+          const std::uint32_t p = set.partition_of(r.key);
+          hn::Response resp;
+          if (i % 2 == 0) {
+            resp = set.call(p, t, r);
+          } else {
+            hn::OpHandle h = set.call_async(p, t, r);
+            resp = h.valid ? set.retrieve(h) : set.call(p, t, r);
+          }
+          if (resp.failed_over) continue;  // bounced: never applied
+          if (!resp.ok || resp.value != r.key + 1) wrong.store(true);
+          answered.fetch_add(1);
+        }
+      });
+    }
+    for (std::uint32_t k = 0; k < 6; ++k) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      set.trigger_failover((k * 3) % kParts);
+    }
+    for (auto& h : hosts) h.join();
+    set.stop();
+    EXPECT_FALSE(overlapped.load()) << "policy " << static_cast<int>(policy);
+    EXPECT_FALSE(wrong.load());
+    EXPECT_EQ(answered.load(), applied.load());
+  }
+}
+
+TEST(CombinerPool, StopDrainsEveryPartition) {
+  // Requests still queued on any partition when stop() is called complete:
+  // each thread keeps serving until a full round finds nothing new.
+  constexpr std::uint32_t kParts = 8;
+  hn::PartitionConfig cfg = pool_config(kParts, 2, 1);
+  cfg.slots_per_thread = 4;
+  hn::PartitionSet set(cfg);
+  for (std::uint32_t p = 0; p < kParts; ++p) {
+    set.set_handler(p, [](const hn::Request&, hn::Response& resp) {
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+      resp.ok = true;
+    });
+  }
+  set.start();
+  std::vector<hn::OpHandle> handles;
+  for (std::uint32_t p = 0; p < kParts; ++p) {
+    for (int i = 0; i < 4; ++i) {
+      hn::OpHandle h = set.call_async(p, 0, hn::Request{});
+      ASSERT_TRUE(h.valid);
+      handles.push_back(h);
+    }
+  }
+  set.stop();
+  std::uint64_t served = 0;
+  for (std::uint32_t p = 0; p < kParts; ++p) served += set.core(p).served();
+  EXPECT_EQ(served, handles.size());
+  for (const hn::OpHandle& h : handles) {
+    EXPECT_TRUE(set.poll(h)) << "partition " << h.partition << " slot "
+                             << h.slot << " lost at stop()";
+    EXPECT_TRUE(set.retrieve(h).ok);
+  }
+}
+
+TEST(CombinerPool, StuckHandlerDoesNotStrandSiblingPartitions) {
+  // One pool thread serves four partitions; partition 0's handler blocks.
+  // Its siblings must not wait for it: the watchdog fences each stranded
+  // sibling, and re-arming it finds the old thread wedged and moves it to a
+  // fresh one — so every sibling answers again within the watchdog budget.
+  hn::PartitionConfig cfg = pool_config(4, 1, 2);
+  cfg.watchdog_interval_ms = 2;
+  cfg.watchdog_misses_to_degrade = 2;
+  cfg.watchdog_misses_to_recover = 2;
+  cfg.failover = hn::FailoverPolicy::kRespawn;
+  hn::PartitionSet set(cfg);
+  std::atomic<bool> stuck{true};
+  std::atomic<bool> entered{false};
+  set.set_handler(0, [&](const hn::Request&, hn::Response& resp) {
+    entered.store(true);
+    while (stuck.load()) std::this_thread::sleep_for(std::chrono::microseconds(100));
+    resp.ok = true;
+  });
+  for (std::uint32_t p = 1; p < 4; ++p) {
+    set.set_handler(p, [](const hn::Request& req, hn::Response& resp) {
+      resp.ok = true;
+      resp.value = req.key + 1;
+    });
+  }
+  set.start();
+  ASSERT_EQ(set.combiner_threads(), 1u);
+  hn::OpHandle h0 = set.call_async(0, 0, hn::Request{});
+  ASSERT_TRUE(h0.valid);
+  ASSERT_TRUE(wait_for([&] { return entered.load(); }));
+
+  // Generous against sanitizer slowdowns, yet far below "until partition 0
+  // returns", which here is never.
+  const auto budget = std::chrono::seconds(2);
+  for (std::uint32_t p = 1; p < 4; ++p) {
+    hn::Request r;
+    r.key = p * 1000 + 5;
+    const auto t0 = std::chrono::steady_clock::now();
+    hn::Response resp;
+    do {
+      resp = set.call(p, 1, r);
+      ASSERT_LT(std::chrono::steady_clock::now() - t0, budget)
+          << "partition " << p << " stranded behind partition 0";
+    } while (resp.failed_over);
+    EXPECT_TRUE(resp.ok);
+    EXPECT_EQ(resp.value, r.key + 1);
+  }
+  EXPECT_EQ(set.combiner_threads(), 2u);  // the live thread took them over
+  // The stuck partition itself is fenced: calls bounce instead of hanging.
+  ASSERT_TRUE(wait_for([&] { return set.failovers(0) >= 1; }));
+  EXPECT_TRUE(set.call(0, 1, hn::Request{}).failed_over);
+
+  // Unstick: the op already running is answered, and every lane
+  // re-integrates under sustained traffic.
+  stuck.store(false);
+  hn::Response first = set.retrieve(h0);
+  EXPECT_TRUE(first.ok);
+  EXPECT_FALSE(first.failed_over);
+  ASSERT_TRUE(wait_for([&] {
+    for (std::uint32_t p = 0; p < 4; ++p) (void)set.call(p, 1, hn::Request{});
+    return !set.degraded(0) && !set.degraded(1) && !set.degraded(2) &&
+           !set.degraded(3);
+  }));
+  set.stop();
+}
+
+TEST(CombinerPool, IdleServerDeathIsFencedWithoutTraffic) {
+  // A server that dies on a pass with nothing pending (kCombinerAbort on a
+  // kick's re-scan) leaves no outstanding post for the watchdog to see. The
+  // supervisor must still fence and re-arm the partition, so no later post
+  // has to wait out the detection.
+  if constexpr (!hn::fault::kCompiledIn) {
+    GTEST_SKIP() << "fault injector compiled out (HYBRIDS_FAULTS=OFF)";
+  }
+  hn::PartitionConfig cfg = pool_config(2, 1, 1);
+  cfg.watchdog_interval_ms = 2;
+  cfg.watchdog_misses_to_degrade = 2;
+  cfg.watchdog_misses_to_recover = 2;
+  cfg.failover = hn::FailoverPolicy::kRespawn;
+  hn::PartitionSet set(cfg);
+  for (std::uint32_t p = 0; p < 2; ++p) {
+    set.set_handler(p, [](const hn::Request&, hn::Response& resp) {
+      resp.ok = true;
+    });
+  }
+  set.start();
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  hn::fault::Config fc;
+  fc.enable(hn::fault::Kind::kCombinerAbort, 1.0);
+  hn::fault::FaultInjector::arm(fc);
+  set.core(0).kick();  // the ring makes the thread re-scan both partitions
+  const bool died = wait_for(
+      [&] { return !set.core(0).armed() && !set.core(1).armed(); },
+      std::chrono::seconds(1));
+  hn::fault::FaultInjector::disarm();
+  ASSERT_TRUE(died) << "the abort did not fire";
+  for (std::uint32_t p = 0; p < 2; ++p) {
+    EXPECT_EQ(set.core(p).posted(), 0u);
+    EXPECT_TRUE(wait_for([&] { return set.failovers(p) > 0; },
+                         std::chrono::seconds(2)))
+        << "partition " << p << ": idle death never fenced";
+    EXPECT_TRUE(wait_for([&] { return set.core(p).armed(); },
+                         std::chrono::seconds(2)))
+        << "partition " << p << ": never re-armed";
+  }
+  hn::Request r;
+  r.key = 1;
+  EXPECT_TRUE(set.call(0, 0, r).ok);
+  r.key = 1001;
+  EXPECT_TRUE(set.call(1, 0, r).ok);
+  set.stop();
+}
+
+TEST(CombinerPool, LostDoorbellRecoveredByKick) {
+  // A post whose doorbell is dropped (kLostWakeup) leaves the parked pool
+  // thread asleep with the request pending; kick() must wake it, and the
+  // woken thread must re-scan and serve the request.
+  if constexpr (!hn::fault::kCompiledIn) {
+    GTEST_SKIP() << "fault injector compiled out (HYBRIDS_FAULTS=OFF)";
+  }
+  hn::NmpCore core(0, 2, [](const hn::Request&, hn::Response& resp) {
+    resp.ok = true;
+  });
+  hn::CombinerPool pool({&core}, 1);
+  pool.start();
+  // Let the thread run out of work and park.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  hn::fault::Config fc;
+  fc.enable(hn::fault::Kind::kLostWakeup, 1.0);
+  hn::fault::FaultInjector::arm(fc);
+  core.post(0, hn::Request{});
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  EXPECT_FALSE(core.slot(0).done()) << "the doorbell was not dropped";
+  hn::fault::FaultInjector::disarm();
+  core.kick();
+  EXPECT_TRUE(wait_for([&] { return core.slot(0).done(); },
+                       std::chrono::seconds(1)));
+  EXPECT_TRUE(core.slot(0).take().ok);
+  pool.stop();
+  if constexpr (ht::kEnabled) {
+    EXPECT_GT(ht::snapshot().counter_total(
+                  std::string(ht::names::kFaultInjectedPrefix) +
+                  hn::fault::kind_name(hn::fault::Kind::kLostWakeup)),
+              0u);
+  }
 }
