@@ -127,11 +127,6 @@ int main(int argc, char** argv) {
   hb::Options opt = hb::parse_options(argc, argv);
   hb::StatsSession stats(opt);
 
-  if (!hc::kCacheCompiledIn) {
-    std::cerr << "note: built with HYBRIDS_NO_CACHE — every arm runs "
-                 "cache-off; budgeted rows measure the same baseline\n";
-  }
-
   const std::uint64_t keys =
       opt.keys ? opt.keys : (opt.full ? 1ull << 20 : 1ull << 16);
   const std::uint32_t threads = opt.threads.empty() ? 4 : opt.threads.front();

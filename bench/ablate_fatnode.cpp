@@ -1,11 +1,11 @@
 // Ablation — fat-node host index layout (fat nodes × software prefetch).
 //
-// The 2x2 sweep behind the fat-node tentpole: host index layout
-// (pointer-node LfSkipList vs fat-node B-link FatSkipList, flipped per arm
-// with hd::set_fatnode_enabled and sampled by HostIndex at construction)
-// crossed with the memory layer's prefetch toggle. Both engines sit behind
-// the same HostIndex facade, are preloaded with the identical (shuffled odd)
-// key set, and replay identical pre-generated access streams:
+// The 2x2 sweep behind HybridSkipList's host index: the pointer-node
+// LfSkipList (the paper's one-key-per-node lock-free baseline) against the
+// fat-node B-link FatSkipList (the host portion HybridSkipList is built on),
+// crossed with the memory layer's prefetch toggle. Each layout is built
+// directly on its own type, preloaded with the identical (shuffled odd) key
+// set, and replays identical pre-generated access streams:
 //
 //   reads  — zipfian point lookups (theta 0.99), all host threads hammering
 //            the structure concurrently; the fat layout's claim is fewer,
@@ -16,25 +16,29 @@
 //            run before touching the first value (memory-level parallelism),
 //            the pointer layout chases one node per entry.
 //
-// Checksums must agree bit-exactly across every arm (same residents, same
-// streams) — a mismatch is a correctness bug and exits nonzero, so this
-// bench doubles as an end-to-end cross-layout oracle. The summary lines name
-// the fat-vs-pointer speedup at equal prefetch setting — the numbers
-// EXPERIMENTS.md records for the fat-node ablation.
-//
-// Under -DHYBRIDS_NO_FATNODE the fat arms are compiled out and only the
-// pointer-node column runs (the bench stays a valid smoke test).
+// Every arm runs kReps timed reps, interleaved rep-major so machine drift
+// hits every arm equally; the table reports each arm's median with its IQR.
+// Checksums must agree bit-exactly across every arm and every rep (same
+// residents, same streams) — a mismatch is a correctness bug and exits
+// nonzero, so this bench doubles as an end-to-end cross-layout oracle. The
+// summary lines name the fat-vs-pointer speedup of the medians at prefetch
+// on — the numbers EXPERIMENTS.md records for the fat-node ablation.
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <cstdio>
 #include <iostream>
+#include <iterator>
 #include <memory>
 #include <random>
 #include <thread>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
-#include "hybrids/ds/host_index.hpp"
+#include "hybrids/ds/fat_skiplist.hpp"
+#include "hybrids/ds/lockfree_skiplist.hpp"
 #include "hybrids/mem/memlayer.hpp"
 #include "hybrids/util/table.hpp"
 
@@ -47,6 +51,8 @@ namespace {
 using hybrids::bench::now_ns;
 using hybrids::bench::RunResult;
 
+constexpr int kReps = 7;
+
 struct Arm {
   bool fat;
   bool prefetch;
@@ -55,30 +61,38 @@ struct Arm {
 const char* onoff(bool b) { return b ? "on" : "off"; }
 const char* layout_name(bool fat) { return fat ? "fat" : "pointer"; }
 
-/// Builds a HostIndex under the requested layout, preloaded with `preload`
-/// odd keys (value == key) in shuffled order — shuffled so fat leaves settle
-/// at realistic mid-occupancy instead of the ascending-insert worst case,
-/// identically for every arm.
-std::unique_ptr<hd::HostIndex> build_index(bool fat, std::uint64_t preload) {
-  hd::set_fatnode_enabled(fat);
+hd::LfSkipList::Node* make_entry(hd::LfSkipList& idx, hybrids::Key k,
+                                 int height) {
+  return idx.make_node(k, k, height);
+}
+hd::FatSkipList::Entry* make_entry(hd::FatSkipList& idx, hybrids::Key k,
+                                   int height) {
+  return idx.make_entry(k, k, height);
+}
+
+/// Builds an `Index`, preloaded with `preload` odd keys (value == key) in
+/// shuffled order — shuffled so fat leaves settle at realistic mid-occupancy
+/// instead of the ascending-insert worst case, identically for both layouts.
+template <class Index>
+std::unique_ptr<Index> build_index(std::uint64_t preload) {
+  constexpr bool kFat = std::is_same_v<Index, hd::FatSkipList>;
   std::vector<hybrids::Key> keys = hb::odd_preload_keys(preload);
   std::mt19937 shuffle_rng(0xF47);
   std::shuffle(keys.begin(), keys.end(), shuffle_rng);
   // Height: log2 for the pointer towers, log_{kFatKeys/2} + slack for the
   // B-link levels (splits leave nodes half full in the worst case).
   int height = 1;
-  if (fat) {
+  if constexpr (kFat) {
     while (std::uint64_t(1) << (2 * height) < preload) ++height;
     height += 2;
   } else {
     while (std::uint64_t(1) << height < preload) ++height;
   }
-  auto idx = std::make_unique<hd::HostIndex>(height);
+  auto idx = std::make_unique<Index>(height);
   hybrids::util::Xoshiro256 rng(7);
   for (hybrids::Key k : keys) {
-    hd::HostIndex::Node* n = idx->make_node(
-        k, k, hd::random_height(rng, height));
-    if (!idx->insert_node(n)) {
+    if (!idx->insert_node(
+            make_entry(*idx, k, hd::random_height(rng, height)))) {
       std::cerr << "BUG: preload collision on key " << k << "\n";
       std::exit(1);
     }
@@ -88,7 +102,8 @@ std::unique_ptr<hd::HostIndex> build_index(bool fat, std::uint64_t preload) {
 
 /// Timed multi-threaded point reads: thread t replays probes[t]; the found
 /// values fold into the checksum. Mops/s across all threads.
-RunResult run_reads(hd::HostIndex& idx,
+template <class Index>
+RunResult run_reads(Index& idx,
                     const std::vector<std::vector<hybrids::Key>>& probes,
                     std::uint64_t warmup_per_thread) {
   const std::uint32_t threads = static_cast<std::uint32_t>(probes.size());
@@ -110,7 +125,7 @@ RunResult run_reads(hd::HostIndex& idx,
       while (ready.load() < threads) std::this_thread::yield();
       if (t == 0) t0 = now_ns();
       for (const hybrids::Key k : mine) {
-        hd::HostIndex::Node* n = idx.get_node(k);
+        const auto* n = idx.get_node(k);
         if (n != nullptr) my_sum += n->value_now();
       }
       checksum.fetch_add(my_sum, std::memory_order_relaxed);
@@ -129,7 +144,8 @@ RunResult run_reads(hd::HostIndex& idx,
 /// Timed multi-threaded range scans of `scan_len` entries from each start
 /// key; folded scan keys are the checksum. Throughput is million scanned
 /// entries per second (the quantity the stitching serves).
-RunResult run_scans(hd::HostIndex& idx,
+template <class Index>
+RunResult run_scans(Index& idx,
                     const std::vector<std::vector<hybrids::Key>>& starts,
                     std::uint32_t scan_len, std::uint64_t warmup_per_thread) {
   const std::uint32_t threads = static_cast<std::uint32_t>(starts.size());
@@ -170,9 +186,9 @@ RunResult run_scans(hd::HostIndex& idx,
   return r;
 }
 
-struct ArmResult {
-  RunResult reads;
-  RunResult scans;
+struct ArmSamples {
+  std::vector<double> reads;
+  std::vector<double> scans;
 };
 
 }  // namespace
@@ -194,7 +210,6 @@ int main(int argc, char** argv) {
   const std::uint64_t scans_per_thread =
       std::max<std::uint64_t>(reads_per_thread / 64, 256);
   const std::uint64_t warmup = opt.warmup;
-  const int reps = 3;
 
   // Pre-generated per-thread streams, shared by every arm.
   std::vector<std::vector<hybrids::Key>> probes(threads);
@@ -206,71 +221,75 @@ int main(int argc, char** argv) {
                                        /*seed=*/0x5CA4 + t);
   }
 
-  std::vector<Arm> arms;
-  for (const bool fat : {false, true}) {
-    if (fat && !hd::kFatnodeCompiledIn) continue;
-    for (const bool prefetch : {false, true}) arms.push_back({fat, prefetch});
-  }
-  if (!hd::kFatnodeCompiledIn) {
-    std::cout << "note: built with -DHYBRIDS_NO_FATNODE, fat arms skipped\n";
-  }
+  const Arm arms[] = {{false, false}, {false, true}, {true, false},
+                      {true, true}};
+  constexpr std::size_t kArms = std::size(arms);
 
   std::cout << "Ablation: fat-node host index (layout x prefetch)\n\n"
             << preload << " loaded keys, " << threads << " threads, "
             << reads_per_thread << " zipfian reads + " << scans_per_thread
-            << " scans of " << opt.scan_max
-            << " per thread, best of " << reps << " reps\n\n";
+            << " scans of " << opt.scan_max << " per thread, median [IQR] of "
+            << kReps << " reps\n\n";
 
-  // Build per arm (layout is sampled at construction), interleave the timed
-  // reps rep-major so machine drift hits every arm equally.
-  std::vector<std::unique_ptr<hd::HostIndex>> indexes;
-  indexes.reserve(arms.size());
-  for (const Arm& arm : arms) indexes.push_back(build_index(arm.fat, preload));
-  hd::set_fatnode_enabled(true);
+  // One index per layout (prefetch is a per-site runtime toggle, so both
+  // prefetch arms share it).
+  const std::unique_ptr<hd::LfSkipList> pointer =
+      build_index<hd::LfSkipList>(preload);
+  const std::unique_ptr<hd::FatSkipList> fat =
+      build_index<hd::FatSkipList>(preload);
 
-  std::vector<ArmResult> results(arms.size());
-  for (int rep = 0; rep < reps; ++rep) {
-    for (std::size_t a = 0; a < arms.size(); ++a) {
+  // Checksum parity: identical residents + identical streams, so every arm
+  // and every rep must fold to the same sums as the first run.
+  std::vector<ArmSamples> samples(kArms);
+  std::uint64_t read_sum = 0;
+  std::uint64_t scan_sum = 0;
+  for (int rep = 0; rep < kReps; ++rep) {
+    for (std::size_t a = 0; a < kArms; ++a) {
       hm::set_prefetch_enabled(arms[a].prefetch);
-      const RunResult rr = run_reads(*indexes[a], probes, warmup);
-      const RunResult rs = run_scans(*indexes[a], starts, opt.scan_max, warmup);
-      if (rr.mops > results[a].reads.mops) results[a].reads = rr;
-      results[a].reads.checksum = rr.checksum;
-      if (rs.mops > results[a].scans.mops) results[a].scans = rs;
-      results[a].scans.checksum = rs.checksum;
+      const auto measure = [&](auto& idx) {
+        const RunResult rr = run_reads(idx, probes, warmup);
+        const RunResult rs = run_scans(idx, starts, opt.scan_max, warmup);
+        return std::pair{rr, rs};
+      };
+      const auto [rr, rs] = arms[a].fat ? measure(*fat) : measure(*pointer);
+      if (rep == 0 && a == 0) {
+        read_sum = rr.checksum;
+        scan_sum = rs.checksum;
+      }
+      if (rr.checksum != read_sum || rs.checksum != scan_sum) {
+        std::cerr << "BUG: checksum differs between arms (layout="
+                  << layout_name(arms[a].fat)
+                  << ", prefetch=" << onoff(arms[a].prefetch) << ", rep "
+                  << rep << ")\n";
+        return 1;
+      }
+      samples[a].reads.push_back(rr.mops);
+      samples[a].scans.push_back(rs.mops);
     }
   }
   hm::set_prefetch_enabled(true);
 
-  // Checksum parity: identical residents + identical streams, every arm and
-  // every rep must fold to the same sums.
-  for (std::size_t a = 1; a < arms.size(); ++a) {
-    if (results[a].reads.checksum != results[0].reads.checksum ||
-        results[a].scans.checksum != results[0].scans.checksum) {
-      std::cerr << "BUG: checksum differs between arms (layout="
-                << layout_name(arms[a].fat)
-                << ", prefetch=" << onoff(arms[a].prefetch) << ")\n";
-      return 1;
-    }
+  std::vector<hb::Spread> reads(kArms);
+  std::vector<hb::Spread> scans(kArms);
+  for (std::size_t a = 0; a < kArms; ++a) {
+    reads[a] = hb::spread_of(samples[a].reads);
+    scans[a] = hb::spread_of(samples[a].scans);
   }
-
   hybrids::util::Table table({"layout", "prefetch", "reads Mops/s",
-                              "scan Mentries/s", "read x", "scan x"});
-  const auto baseline = [&](bool prefetch) -> const ArmResult& {
-    for (std::size_t a = 0; a < arms.size(); ++a) {
-      if (!arms[a].fat && arms[a].prefetch == prefetch) return results[a];
-    }
-    return results[0];
-  };
-  for (std::size_t a = 0; a < arms.size(); ++a) {
-    const ArmResult& base = baseline(arms[a].prefetch);
+                              "reads IQR", "scan Mentries/s", "scan IQR",
+                              "read x", "scan x"});
+  for (std::size_t a = 0; a < kArms; ++a) {
+    // Baseline: the pointer arm at the same prefetch setting (arms[0|1]).
+    const std::size_t b = arms[a].prefetch ? 1 : 0;
     table.new_row()
         .add_cell(layout_name(arms[a].fat))
         .add_cell(onoff(arms[a].prefetch))
-        .add_num(results[a].reads.mops)
-        .add_num(results[a].scans.mops)
-        .add_num(results[a].reads.mops / base.reads.mops)
-        .add_num(results[a].scans.mops / base.scans.mops);
+        .add_num(reads[a].median)
+        .add_num(reads[a].iqr())
+        .add_num(scans[a].median)
+        .add_num(scans[a].iqr())
+        .add_num(reads[a].median / reads[b].median)
+        .add_num(scans[a].median / scans[b].median);
   }
   if (opt.csv) {
     table.print_csv(std::cout);
@@ -278,19 +297,13 @@ int main(int argc, char** argv) {
     table.print(std::cout);
   }
 
-  if (hd::kFatnodeCompiledIn) {
-    const ArmResult& ptr_on = baseline(true);
-    const ArmResult* fat_on = nullptr;
-    for (std::size_t a = 0; a < arms.size(); ++a) {
-      if (arms[a].fat && arms[a].prefetch) fat_on = &results[a];
-    }
-    char line[128];
-    std::snprintf(line, sizeof(line),
-                  "\nfat-node read speedup: %.2fx\n"
-                  "fat-node scan speedup: %.2fx\n",
-                  fat_on->reads.mops / ptr_on.reads.mops,
-                  fat_on->scans.mops / ptr_on.scans.mops);
-    std::cout << line;
-  }
+  // arms[3] is fat/prefetch-on, arms[1] its pointer baseline.
+  char line[128];
+  std::snprintf(line, sizeof(line),
+                "\nfat-node read speedup: %.2fx\n"
+                "fat-node scan speedup: %.2fx\n",
+                reads[3].median / reads[1].median,
+                scans[3].median / scans[1].median);
+  std::cout << line;
   return 0;
 }

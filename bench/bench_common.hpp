@@ -51,6 +51,7 @@
 // can't silently run the bench with defaults.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cctype>
 #include <chrono>
@@ -452,6 +453,32 @@ struct RunResult {
   double mops = 0;
   std::uint64_t checksum = 0;
 };
+
+/// Median and quartiles of repeated measurements of one arm (linear
+/// interpolation between order statistics). Ablations report the median with
+/// its IQR rather than best-of-N, so one lucky rep cannot carry an arm.
+struct Spread {
+  double median = 0;
+  double q1 = 0;
+  double q3 = 0;
+  double iqr() const { return q3 - q1; }
+};
+
+inline Spread spread_of(std::vector<double> xs) {
+  Spread s;
+  if (xs.empty()) return s;
+  std::sort(xs.begin(), xs.end());
+  const auto at = [&xs](double q) {
+    const double pos = q * static_cast<double>(xs.size() - 1);
+    const std::size_t lo = static_cast<std::size_t>(pos);
+    const std::size_t hi = std::min(lo + 1, xs.size() - 1);
+    return xs[lo] + (pos - static_cast<double>(lo)) * (xs[hi] - xs[lo]);
+  };
+  s.median = at(0.5);
+  s.q1 = at(0.25);
+  s.q3 = at(0.75);
+  return s;
+}
 
 /// One timed multi-threaded run of `spec` against `ds` (any structure with
 /// the read/update/insert/remove/scan shape of the hybrid structures). Same

@@ -1,7 +1,9 @@
 // Fat-node host index: a concurrent B-link structure with cache-line-sized
 // multi-key nodes, replacing one-key-per-node pointer chasing in the host
 // levels (the B-skiplist layout from PAPERS.md's "Bridging Cache-Friendliness
-// and Concurrency").
+// and Concurrency"). It is the host portion of HybridSkipList; the
+// pointer-node LfSkipList stays as the paper's lock-free baseline and the
+// layout ablation's comparison point (bench/ablate_fatnode.cpp).
 //
 // Layout. Every node is two cache lines. Line 0 carries the seqlock word,
 // the right-sibling link, packed metadata, the immutable anchor key and a
@@ -62,26 +64,6 @@
 #include "hybrids/types.hpp"
 
 namespace hybrids::ds {
-
-#if defined(HYBRIDS_NO_FATNODE)
-inline constexpr bool kFatnodeCompiledIn = false;
-inline bool fatnode_enabled() noexcept { return false; }
-inline void set_fatnode_enabled(bool) noexcept {}
-#else
-inline constexpr bool kFatnodeCompiledIn = true;
-
-inline std::atomic<bool>& fatnode_flag() noexcept {
-  static std::atomic<bool> on{true};
-  return on;
-}
-/// Consulted once per HostIndex construction (ablations flip it between
-/// arms); existing structures keep the layout they were built with.
-inline bool fatnode_enabled() noexcept {
-  return fatnode_flag().load(std::memory_order_relaxed);
-}
-inline void set_fatnode_enabled(bool on) noexcept {
-  fatnode_flag().store(on, std::memory_order_relaxed);
-}
 
 class FatSkipList {
  public:
@@ -981,6 +963,5 @@ class FatSkipList {
   telemetry::Counter* splits_;
   telemetry::Counter* keys_scanned_;
 };
-#endif  // !HYBRIDS_NO_FATNODE
 
 }  // namespace hybrids::ds

@@ -121,8 +121,7 @@ class HybridBTree {
     unlock_path_ = &telemetry::counter(tn::kUnlockPathTotal);
     scan_hops_ = &telemetry::counter(tn::kScanPartitionHops);
     scan_retry_ = &telemetry::counter(tn::kScanRetry);
-    if (cache::kCacheCompiledIn && cache::cache_enabled() &&
-        config.cache_budget_bytes > 0) {
+    if (config.cache_budget_bytes > 0) {
       cache::HotCache::Config cc;
       cc.budget_bytes = config.cache_budget_bytes;
       cc.value_ratio = config.cache_value_ratio;
@@ -636,8 +635,7 @@ class HybridBTree {
   /// bench use it for trigger_failover / degraded / failovers).
   nmp::PartitionSet& partition_set() { return set_; }
 
-  /// The hot-key cache, or nullptr when disabled (budget 0, runtime switch
-  /// off, or HYBRIDS_NO_CACHE).
+  /// The hot-key cache, or nullptr when the budget is 0.
   cache::HotCache* hot_cache() { return cache_.get(); }
 
   int height() const {

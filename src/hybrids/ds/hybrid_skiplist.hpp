@@ -8,13 +8,11 @@
 // nmp_height exists in both portions (host part + NMP part linked by
 // payload/host_ptr cross-references); shorter nodes exist only NMP-side.
 //
-// The host portion lives behind ds::HostIndex: cache-line-sized fat B-link
-// nodes by default (fat_skiplist.hpp — one two-line node per descent level),
-// or the classic pointer-node lock-free skiplist under HYBRIDS_NO_FATNODE /
-// set_fatnode_enabled(false). Both engines produce the same per-key Entry
-// records, so the split-structure protocol below is layout-agnostic; a
-// descent's result is a HostIndex::Window (match + pred entries, plus the
-// fat leaf/version token the shortcut cache revalidates with).
+// The host portion is a ds::FatSkipList: cache-line-sized fat B-link nodes
+// (fat_skiplist.hpp — one two-line node per descent level) over stable
+// per-key Entry records (LfSkipList::Node). A descent's result is a
+// FatSkipList::View: match + pred entries, plus the leaf/version token the
+// shortcut cache revalidates with.
 //
 // Host traversals act as shortcuts: the predecessor at the bottom host level
 // supplies the begin-NMP-traversal node for the offloaded remainder of the
@@ -49,7 +47,7 @@
 #include <vector>
 
 #include "hybrids/cache/hot_cache.hpp"
-#include "hybrids/ds/host_index.hpp"
+#include "hybrids/ds/fat_skiplist.hpp"
 #include "hybrids/ds/lockfree_skiplist.hpp"
 #include "hybrids/ds/seq_skiplist.hpp"
 #include "hybrids/host/interleave.hpp"
@@ -84,8 +82,7 @@ class HybridSkipList {
     std::uint32_t promote_budget = 0;
 
     // Hot-key cache (cache/hot_cache.hpp): shared byte budget for the
-    // value + shortcut tiers; 0 disables (also disabled by
-    // HYBRIDS_NO_CACHE or cache::set_cache_enabled(false) at construction).
+    // value + shortcut tiers; 0 builds no cache at all.
     // The shortcut tier serves read/update descents; insert/remove/scan
     // keep their full host descent (remove's host-portion-first ordering
     // is semantic, inserts need the host window anyway).
@@ -133,8 +130,7 @@ class HybridSkipList {
         promote_budget_(config.promote_budget) {
     assert(config.total_height > config.nmp_height);
     assert(config.nmp_height >= 1);
-    if (cache::kCacheCompiledIn && cache::cache_enabled() &&
-        config.cache_budget_bytes > 0) {
+    if (config.cache_budget_bytes > 0) {
       cache::HotCache::Config cc;
       cc.budget_bytes = config.cache_budget_bytes;
       cc.value_ratio = config.cache_value_ratio;
@@ -183,7 +179,7 @@ class HybridSkipList {
   //
   // Each operation has exactly one body, its coroutine (docs/INTERLEAVING.md).
   // Under a host::Frame the host descent suspends at each prefetch
-  // (HostIndex::find_co) and the publication round-trip parks on its slot
+  // (FatSkipList::find_co) and the publication round-trip parks on its slot
   // (host::offload), so sibling operations on the same thread overlap both
   // kinds of dead time; every EbrGuard closes before the op parks. The
   // blocking entry points run the same body through host::run_inline, where
@@ -225,7 +221,7 @@ class HybridSkipList {
     while (true) {
       const std::uint64_t gen0 = cache_gen(part);
       nmp::Request req;
-      HostIndex::Window w;
+      FatSkipList::View w;
       bool from_shortcut = false;
       const std::uint64_t d0 = tok.sampled() ? telemetry::now_ns() : 0;
       cache::HotCache::Shortcut sc;
@@ -285,8 +281,9 @@ class HybridSkipList {
         // fill is ordered against every write version the combiner issued.
         cache_->fill_value(key, part, r.value, r.aux, gen0);
         if (!from_shortcut && req.node != nullptr) {
-          // Fat layout: the fill carries the backing leaf + seqlock stamp so
-          // later hits revalidate before trusting the begin node.
+          // The fill carries the backing leaf + seqlock stamp so later hits
+          // revalidate before trusting the begin node. A begin node implies
+          // a host pred, so w.leaf is the validated node it was read from.
           cache_->fill_shortcut(key, part, req.node, w.leaf_version, gen0,
                                 w.leaf);
         }
@@ -308,7 +305,7 @@ class HybridSkipList {
     while (true) {
       const std::uint64_t gen0 = cache_gen(part);
       nmp::Request req;
-      HostIndex::Window w;
+      FatSkipList::View w;
       bool from_shortcut = false;
       const std::uint64_t d0 = tok.sampled() ? telemetry::now_ns() : 0;
       cache::HotCache::Shortcut sc;
@@ -387,7 +384,7 @@ class HybridSkipList {
       const std::uint64_t d0 = tok.sampled() ? telemetry::now_ns() : 0;
       {
         mem::EbrGuard guard;
-        HostIndex::Window w;
+        FatSkipList::View w;
         if (co_await host_.find_co(key, &w)) {  // tall node present
           if (tok.sampled()) {
             const std::uint64_t now = telemetry::now_ns();
@@ -398,7 +395,7 @@ class HybridSkipList {
           co_return false;
         }
         if (height > config_.nmp_height) {
-          hnode = host_.make_node(key, value, height - config_.nmp_height);
+          hnode = host_.make_entry(key, value, height - config_.nmp_height);
         }
         req = make_request(nmp::OpCode::kInsert, key, value,
                            static_cast<std::uint64_t>(height), w.pred, hnode,
@@ -462,7 +459,7 @@ class HybridSkipList {
       const std::uint64_t d0 = tok.sampled() ? telemetry::now_ns() : 0;
       {
         mem::EbrGuard guard;
-        HostIndex::Window w;
+        FatSkipList::View w;
         if (co_await host_.find_co(key, &w)) {
           // Host portion first (removals proceed top-down across the split).
           if (!host_.remove(key)) {
@@ -539,7 +536,7 @@ class HybridSkipList {
       nmp::Request r;
       {
         mem::EbrGuard guard;
-        HostIndex::Window w;
+        FatSkipList::View w;
         (void)co_await host_.find_co(cur, &w);
         r = make_request(nmp::OpCode::kScan, cur, static_cast<Value>(want), 0,
                          w.pred, nullptr, p, budget.exhausted());
@@ -601,12 +598,12 @@ class HybridSkipList {
       return;
     }
     const int host_h = random_height(*rngs_[tid], config_.host_height());
-    LfSkipList::Node* hnode = host_.make_node(key, 0, host_h);
+    LfSkipList::Node* hnode = host_.make_entry(key, 0, host_h);
     const std::uint32_t part = set_.partition_of(key);
     nmp::Request req;
     {
       mem::EbrGuard guard;
-      HostIndex::Window w;
+      FatSkipList::View w;
       (void)host_.find(key, w);
       req = make_request(nmp::OpCode::kPromote, key, 0, 0, w.pred, hnode,
                          part, /*force_head=*/false);
@@ -645,8 +642,8 @@ class HybridSkipList {
     return promote_budget_.load(std::memory_order_relaxed);
   }
 
-  /// The hot-key cache, or nullptr when disabled (budget 0, runtime flag
-  /// off, or HYBRIDS_NO_CACHE). Exposed for the controller and tests.
+  /// The hot-key cache, or nullptr when the budget is 0. Exposed for the
+  /// controller and tests.
   cache::HotCache* hot_cache() { return cache_.get(); }
 
   // ----- non-blocking operations (§3.5) --------------------------------------
@@ -690,7 +687,7 @@ class HybridSkipList {
     nmp::Request req;
     {
       mem::EbrGuard guard;
-      HostIndex::Window w;
+      FatSkipList::View w;
       if (host_.find(key, w)) {
         host_read_hits_->inc();
         t.state = Ticket::State::kImmediate;
@@ -721,7 +718,7 @@ class HybridSkipList {
     nmp::Request req;
     {
       mem::EbrGuard guard;
-      HostIndex::Window w;
+      FatSkipList::View w;
       if (host_.find(key, w)) {
         t.state = Ticket::State::kImmediate;
         t.ok = false;
@@ -729,7 +726,7 @@ class HybridSkipList {
       }
       const int height = random_height(*rngs_[tid], config_.total_height);
       if (height > config_.nmp_height) {
-        t.hnode = host_.make_node(key, value, height - config_.nmp_height);
+        t.hnode = host_.make_entry(key, value, height - config_.nmp_height);
       }
       req = make_request(nmp::OpCode::kInsert, key, value,
                          static_cast<std::uint64_t>(height), w.pred, t.hnode,
@@ -756,7 +753,7 @@ class HybridSkipList {
     nmp::Request req;
     {
       mem::EbrGuard guard;
-      HostIndex::Window w;
+      FatSkipList::View w;
       if (host_.find(key, w)) {
         if (!host_.remove(key)) {
           t.state = Ticket::State::kImmediate;
@@ -785,7 +782,7 @@ class HybridSkipList {
     nmp::Request req;
     {
       mem::EbrGuard guard;
-      HostIndex::Window w;
+      FatSkipList::View w;
       (void)host_.find(key, w);
       req = make_request(nmp::OpCode::kUpdate, key, value, 0, w.pred,
                          nullptr, part, /*force_head=*/false);
@@ -1012,7 +1009,7 @@ class HybridSkipList {
     r.aux = aux;
     r.host_node = hnode;
     // Begin-NMP-traversal node (Listing 1 lines 14-15): only usable if a
-    // host-side predecessor exists (Window::pred is null when the key
+    // host-side predecessor exists (View::pred is null when the key
     // precedes every host entry) and lives in the same partition as the
     // lookup key, and not suppressed by an exhausted retry budget
     // (force_head).
@@ -1023,13 +1020,12 @@ class HybridSkipList {
     return r;
   }
 
-  /// Fat-layout shortcuts carry the backing host leaf and its seqlock stamp
-  /// in (host, aux); a moved leaf means the cached begin node may already be
+  /// Shortcuts carry the backing host leaf and its seqlock stamp in
+  /// (host, aux); a moved leaf means the cached begin node may already be
   /// unlinked, so drop the entry and descend for real instead of eating a
-  /// bounced offload round-trip. Entries with host == nullptr (pointer-node
-  /// engine, whose begin candidates never move) are always fresh.
+  /// bounced offload round-trip.
   bool shortcut_stale(const cache::HotCache::Shortcut& sc) const {
-    return sc.host != nullptr && !host_.shortcut_fresh(sc.host, sc.aux);
+    return !host_.node_version_is(sc.host, sc.aux);
   }
 
  public:
@@ -1149,7 +1145,7 @@ class HybridSkipList {
 
  private:
   Config config_;
-  HostIndex host_;
+  FatSkipList host_;
   nmp::PartitionSet set_;
   std::vector<std::unique_ptr<SeqSkipList>> lists_;
   std::vector<util::CacheAligned<util::Xoshiro256>> rngs_;

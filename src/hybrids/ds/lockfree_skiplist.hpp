@@ -1,6 +1,6 @@
 // Lock-free skiplist (Herlihy–Lev–Shavit / Fraser), the paper's non-NMP
-// skiplist baseline and the engine behind the hybrid skiplist's host-managed
-// levels.
+// skiplist baseline. Its Node is also the per-key entry record the hybrid
+// skiplist's fat-node host index (fat_skiplist.hpp) points its leaves at.
 //
 // Next pointers are marked pointers updated by CAS: the low bit marks the
 // *source node* as logically deleted at that level. find() helps by snipping
@@ -13,8 +13,8 @@
 // the pool freelists — so the retired set stays bounded under churn instead
 // of growing until destruction. Every public operation pins an EbrGuard for
 // its pointer-chasing window; callers that keep using returned Node pointers
-// after a call returns (the hybrid skiplist's host shortcut derivation) must
-// hold their own guard around the whole window — guards are reentrant.
+// after a call returns must hold their own guard around the whole window —
+// guards are reentrant.
 // Chunk memory is only returned to the OS by the destructor.
 #pragma once
 
@@ -23,7 +23,6 @@
 #include <cstdint>
 #include <new>
 
-#include "hybrids/host/interleave.hpp"
 #include "hybrids/mem/ebr.hpp"
 #include "hybrids/mem/memlayer.hpp"
 #include "hybrids/mem/node_pool.hpp"
@@ -168,62 +167,6 @@ class LfSkipList {
     }
   }
 
-  /// Coroutine twin of find(): same window computation, same helping, but
-  /// each prefetch hint becomes a prefetch_and_yield suspension point so a
-  /// host::Frame can run a sibling operation while the line is in flight
-  /// (docs/INTERLEAVING.md). The EbrGuard is held across the suspensions —
-  /// sibling coroutines resume on the same thread, so the reentrant
-  /// thread-local pin behaves exactly as in the blocking path. find()'s
-  /// `goto retry` on a failed snip becomes a structured restart flag
-  /// (jumping backward over a co_await is ill-formed).
-  host::CoTask<bool> find_co(Key key, Node** preds, Node** succs) {
-    mem::EbrGuard guard;
-    while (true) {
-      bool restart = false;
-      Node* pred = head_;
-      for (int lvl = max_height_ - 1; lvl >= 0 && !restart; --lvl) {
-        Node* curr = unmark(pred->next[lvl].load(std::memory_order_acquire));
-        while (true) {
-          if (curr == nullptr) break;
-          std::uintptr_t succ_bits =
-              curr->next[lvl].load(std::memory_order_acquire);
-          // One-ahead prefetch: pull the successor's line and let a sibling
-          // op run while it travels.
-          co_await host::prefetch_and_yield(unmark(succ_bits));
-          while (is_marked(succ_bits)) {
-            std::uintptr_t expected = make_bits(curr, false);
-            if (!pred->next[lvl].compare_exchange_strong(
-                    expected, make_bits(unmark(succ_bits), false),
-                    std::memory_order_acq_rel, std::memory_order_acquire)) {
-              restart = true;
-              break;
-            }
-            curr = unmark(pred->next[lvl].load(std::memory_order_acquire));
-            if (curr == nullptr) break;
-            succ_bits = curr->next[lvl].load(std::memory_order_acquire);
-          }
-          if (restart || curr == nullptr) break;
-          if (curr->key < key) {
-            pred = curr;
-            curr = unmark(succ_bits);
-          } else {
-            break;
-          }
-        }
-        if (restart) break;
-        preds[lvl] = pred;
-        succs[lvl] = curr;
-        // Level-descent prefetch, again overlapped with sibling work.
-        if (lvl > 0) {
-          co_await host::prefetch_and_yield(
-              unmark(pred->next[lvl - 1].load(std::memory_order_relaxed)));
-        }
-      }
-      if (restart) continue;
-      co_return succs[0] != nullptr && succs[0]->key == key;
-    }
-  }
-
   /// Wait-free lookup (no helping): returns the node for `key` if present
   /// and not marked at the bottom level, else null.
   Node* get_node(Key key) const {
@@ -300,10 +243,10 @@ class LfSkipList {
     return filled;
   }
 
-  /// Allocates a node that is not yet linked. The hybrid skiplist builds the
-  /// host node before offloading (Listing 1) so the NMP side can record its
-  /// address as host_ptr, then links it with insert_node() after the NMP
-  /// portion succeeds. Unlinked nodes are released with free_unlinked().
+  /// Allocates a node that is not yet linked, for insert_node(). This is the
+  /// host-first allocation of Listing 1 (FatSkipList::make_entry is the
+  /// hybrid skiplist's copy). Unlinked nodes are released with
+  /// free_unlinked().
   Node* make_node(Key key, Value value, int height, void* payload = nullptr) {
     assert(height >= 1 && height <= max_height_);
     return alloc_node(key, value, height, payload);

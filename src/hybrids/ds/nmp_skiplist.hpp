@@ -84,8 +84,7 @@ class NmpSkipList {
     for (std::uint32_t t = 0; t < config.max_threads; ++t) {
       *rngs_[t] = util::Xoshiro256(config.seed * 0x9E3779B97F4A7C15ULL + t);
     }
-    if (cache::kCacheCompiledIn && cache::cache_enabled() &&
-        config.cache_budget_bytes > 0) {
+    if (config.cache_budget_bytes > 0) {
       cache::HotCache::Config cc;
       cc.budget_bytes = config.cache_budget_bytes;
       cc.value_ratio = 1.0;  // no host descent to shortcut past
@@ -254,8 +253,7 @@ class NmpSkipList {
   /// trigger_failover / degraded / failovers).
   nmp::PartitionSet& partition_set() { return set_; }
 
-  /// The hot-key cache, or nullptr when disabled (budget 0, runtime switch
-  /// off, or HYBRIDS_NO_CACHE).
+  /// The hot-key cache, or nullptr when the budget is 0.
   cache::HotCache* hot_cache() { return cache_.get(); }
 
   /// Quiescent-only helpers for tests.

@@ -101,7 +101,7 @@ struct CoPromiseBase {
 
 /// A lazily-started host coroutine. Move-only owner of the coroutine frame;
 /// awaitable from another CoTask (symmetric transfer, no scheduler round
-/// trip for nested descents like LfSkipList::find_co inside
+/// trip for nested descents like FatSkipList::find_co inside
 /// HybridSkipList::read_co). The top-level owner submits `handle()` to a
 /// Frame and reads `result()` once `done()`.
 template <typename T = void>

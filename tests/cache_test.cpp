@@ -39,11 +39,6 @@ namespace hc = hybrids::cache;
 namespace hd = hybrids::ds;
 namespace hu = hybrids::util;
 
-// The unit half constructs HotCache directly and runs in every build; the
-// integration half needs the structures to own a cache, which
-// -DHYBRIDS_NO_CACHE compiles out.
-#define SKIP_IF_CACHE_COMPILED_OUT() \
-  if (!hc::kCacheCompiledIn) GTEST_SKIP() << "built with HYBRIDS_NO_CACHE"
 using hybrids::Key;
 using hybrids::Value;
 
@@ -251,7 +246,6 @@ hd::NmpSkipList::Config nmp_config(std::size_t cache_budget) {
 }
 
 TEST(CacheNmpSkipList, MixedChurnOracleExact) {
-  SKIP_IF_CACHE_COMPILED_OUT();
   // Small budget: the hot set does not fit, so fills and evictions churn
   // while the oracle checks stay exact.
   hd::NmpSkipList list(nmp_config(2 * 1024));
@@ -294,7 +288,6 @@ TEST(CacheNmpSkipList, MixedChurnOracleExact) {
 }
 
 TEST(CacheNmpSkipList, AsyncWriteInvalidatesCachedValue) {
-  SKIP_IF_CACHE_COMPILED_OUT();
   hd::NmpSkipList list(nmp_config(8 * 1024));
   ASSERT_NE(list.hot_cache(), nullptr);
   ASSERT_TRUE(list.insert(100, 1, 0));
@@ -341,7 +334,6 @@ hd::HybridSkipList::Config hsl_config(std::size_t cache_budget,
 }
 
 TEST(CacheHybridSkipList, MixedChurnOracleExactBothTiersHit) {
-  SKIP_IF_CACHE_COMPILED_OUT();
   // Tiny value tier + roomy shortcut tier: round-robin reads over a set
   // larger than the value tier keep missing values and hitting shortcuts.
   hd::HybridSkipList list(hsl_config(8 * 1024, /*ratio=*/0.2));
@@ -389,7 +381,6 @@ TEST(CacheHybridSkipList, MixedChurnOracleExactBothTiersHit) {
 }
 
 TEST(CacheHybridSkipList, ShortcutsStayValidAcrossEbrReclaimCycles) {
-  SKIP_IF_CACHE_COMPILED_OUT();
   // Shortcut targets are begin-NMP candidates the structure never frees
   // individually; host-level churn retires towers through EBR. After full
   // reclaim cycles every cached read must still be oracle-exact — a freed
@@ -453,7 +444,6 @@ void btree_load(std::vector<Key>& keys, std::vector<Value>& vals,
 }
 
 TEST(CacheHybridBTree, MixedChurnOracleExact) {
-  SKIP_IF_CACHE_COMPILED_OUT();
   std::vector<Key> keys;
   std::vector<Value> vals;
   std::map<Key, Value> oracle;
@@ -497,7 +487,6 @@ TEST(CacheHybridBTree, MixedChurnOracleExact) {
 }
 
 TEST(CacheHybridBTree, TicketServesCachedReadWithoutRoundTrip) {
-  SKIP_IF_CACHE_COMPILED_OUT();
   std::vector<Key> keys;
   std::vector<Value> vals;
   std::map<Key, Value> oracle;
@@ -588,7 +577,6 @@ void run_cache_chaos(Structure& s, std::vector<std::map<Key, Value>>& oracles,
 }
 
 TEST(CacheChaos, HybridSkipListThreeSeeds) {
-  SKIP_IF_CACHE_COMPILED_OUT();
   for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
     SCOPED_TRACE(seed);
     hd::HybridSkipList list(hsl_config(2 * 1024, 0.5));
@@ -609,7 +597,6 @@ TEST(CacheChaos, HybridSkipListThreeSeeds) {
 }
 
 TEST(CacheChaos, HybridBTreeThreeSeeds) {
-  SKIP_IF_CACHE_COMPILED_OUT();
   for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
     SCOPED_TRACE(seed);
     std::vector<Key> keys;
@@ -649,7 +636,6 @@ TEST(CacheChaos, HybridBTreeThreeSeeds) {
 // ---------------------------------------------------------------------------
 
 TEST(CacheChaos, FailoverBouncedPartitionDropsCachedValues) {
-  SKIP_IF_CACHE_COMPILED_OUT();
   namespace fault = hybrids::nmp::fault;
   static_assert(fault::kCompiledIn);
   fault::Config fc;

@@ -1,12 +1,12 @@
-// Tests for the fat-node host index (ds/fat_skiplist.hpp) and the HostIndex
-// facade that selects between it and the pointer-node LfSkipList:
+// Tests for the fat-node host index (ds/fat_skiplist.hpp), the host portion
+// of HybridSkipList:
 //  - oracle-exact single-thread behaviour (point ops, churn, scans, splits,
 //    node death and re-insertion into a dead node's range),
 //  - the seqlock/B-link concurrency story (split-during-descent readers,
 //    disjoint-range churn, removal races) — these double as the TSan targets,
 //  - EBR retirement bounds and quiescent drain for both entries and fat nodes,
-//  - HostIndex facade parity across both engines and shortcut-token
-//    freshness semantics.
+//  - entry-API parity with the pointer-node LfSkipList baseline (the same
+//    oracle drives both) and shortcut-token freshness semantics.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,11 +14,13 @@
 #include <map>
 #include <set>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include <random>
 
-#include "hybrids/ds/host_index.hpp"
+#include "hybrids/ds/fat_skiplist.hpp"
+#include "hybrids/ds/lockfree_skiplist.hpp"
 #include "hybrids/mem/ebr.hpp"
 #include "hybrids/telemetry/registry.hpp"
 #include "hybrids/util/rng.hpp"
@@ -37,8 +39,6 @@ void mem_advance() {
   hybrids::mem::Ebr::try_advance();
 }
 }  // namespace
-
-#if !defined(HYBRIDS_NO_FATNODE)
 
 // ---------- FatSkipList: single-threaded, oracle-exact ----------
 
@@ -389,32 +389,58 @@ TEST(FatSkipList, ContendedSameKeyInsertRemove) {
   EXPECT_EQ(list.size(), resident);
 }
 
-#endif  // !HYBRIDS_NO_FATNODE
-
-// ---------- HostIndex facade ----------
+// ---------- Entry-API parity: fat vs pointer-node layout ----------
 
 namespace {
 
-// Restores the process-wide layout toggle on scope exit so test order
-// never leaks a mode change.
-struct LayoutToggle {
-  explicit LayoutToggle(bool on) : prev(hd::fatnode_enabled()) {
-    hd::set_fatnode_enabled(on);
-  }
-  ~LayoutToggle() { hd::set_fatnode_enabled(prev); }
-  bool prev;
-};
+using Entry = hd::FatSkipList::Entry;
+static_assert(std::is_same_v<Entry, hd::LfSkipList::Node>,
+              "both layouts must share the per-key entry record");
 
-void exercise_host_index(bool want_fat) {
-  LayoutToggle toggle(want_fat);
-  hd::HostIndex idx(8);
-  EXPECT_EQ(idx.fat(), want_fat && hd::kFatnodeCompiledIn);
+// The two layouts spell the entry API slightly differently; these adapters
+// give the oracle below one vocabulary (the one HybridSkipList uses).
+Entry* make(hd::FatSkipList& idx, Key k, Value v) {
+  return idx.make_entry(k, v, 1);
+}
+Entry* make(hd::LfSkipList& idx, Key k, Value v) {
+  return idx.make_node(k, v, 1);
+}
+
+/// Bottom-level window: `match` on a hit, else the largest-key-below entry
+/// as `pred` (nullptr when `key` precedes every resident entry).
+bool find(hd::FatSkipList& idx, Key k, hd::FatSkipList::View& w) {
+  return idx.find(k, w);
+}
+bool find(hd::LfSkipList& idx, Key k, hd::FatSkipList::View& w) {
+  Entry* preds[hd::LfSkipList::kMaxLevels];
+  Entry* succs[hd::LfSkipList::kMaxLevels];
+  const bool hit = idx.find(k, preds, succs);
+  w.match = hit ? succs[0] : nullptr;
+  w.pred = preds[0] == idx.head() ? nullptr : preds[0];
+  return hit;
+}
+
+template <class F>
+void for_each_entry(const hd::FatSkipList& idx, F&& f) {
+  idx.for_each_entry(f);
+}
+template <class F>
+void for_each_entry(const hd::LfSkipList& idx, F&& f) {
+  for (Entry* n = idx.head()->next_ptr(0); n != nullptr; n = n->next_ptr(0)) {
+    if (!n->marked_at(0)) f(n);
+  }
+}
+
+template <class Index>
+void exercise_entry_api(std::uint64_t seed) {
+  constexpr bool kFat = std::is_same_v<Index, hd::FatSkipList>;
+  Index idx(8);
   std::map<Key, Value> oracle;
-  hu::Xoshiro256 rng(want_fat ? 0xF00D : 0xBEEF);
+  hu::Xoshiro256 rng(seed);
   for (int i = 0; i < 4000; ++i) {
     const Key k = static_cast<Key>(rng.next() % 512) + 1;
     if ((rng.next() & 1u) != 0) {
-      hd::HostIndex::Node* n = idx.make_node(k, k * 2, 1);
+      Entry* n = make(idx, k, k * 2);
       const bool fresh = idx.insert_node(n);
       if (!fresh) idx.free_unlinked(n);
       EXPECT_EQ(fresh, oracle.emplace(k, k * 2).second);
@@ -424,10 +450,10 @@ void exercise_host_index(bool want_fat) {
   }
   EXPECT_EQ(idx.size(), oracle.size());
   EXPECT_TRUE(idx.validate());
-  // Window semantics agree with the oracle in both engines.
+  // Window semantics agree with the oracle in both layouts.
   for (Key k = 1; k <= 513; ++k) {
-    hd::HostIndex::Window w;
-    const bool hit = idx.find(k, w);
+    hd::FatSkipList::View w;
+    const bool hit = find(idx, k, w);
     auto it = oracle.find(k);
     EXPECT_EQ(hit, it != oracle.end()) << "key " << k;
     if (hit) {
@@ -443,12 +469,15 @@ void exercise_host_index(bool want_fat) {
         EXPECT_EQ(w.pred->key, std::prev(lb)->first) << "key " << k;
       }
     }
-    // Whatever token the engine handed out must read fresh while untouched.
-    EXPECT_TRUE(idx.shortcut_fresh(w.leaf, w.leaf_version)) << "key " << k;
+    // The fat layout's token must read fresh while its leaf is untouched.
+    if constexpr (kFat) {
+      ASSERT_NE(w.leaf, nullptr) << "key " << k;
+      EXPECT_TRUE(idx.node_version_is(w.leaf, w.leaf_version)) << "key " << k;
+    }
   }
   // Ordered visitation.
   std::vector<Key> seen;
-  idx.for_each_entry([&](hd::HostIndex::Node* n) { seen.push_back(n->key); });
+  for_each_entry(idx, [&](Entry* n) { seen.push_back(n->key); });
   ASSERT_EQ(seen.size(), oracle.size());
   EXPECT_TRUE(std::is_sorted(seen.begin(), seen.end()));
   for (int i = 0; i < 6 && idx.retired_count() > 0; ++i) {
@@ -460,35 +489,32 @@ void exercise_host_index(bool want_fat) {
 
 }  // namespace
 
-TEST(HostIndex, PointerNodeEngineMatchesOracle) { exercise_host_index(false); }
-
-TEST(HostIndex, FatEngineMatchesOracle) { exercise_host_index(true); }
-
-#if !defined(HYBRIDS_NO_FATNODE)
-
-TEST(HostIndex, ShortcutTokenGoesStaleOnLeafMutation) {
-  LayoutToggle toggle(true);
-  hd::HostIndex idx(8);
-  for (Key k = 10; k <= 40; k += 10) {
-    hd::HostIndex::Node* n = idx.make_node(k, k, 1);
-    ASSERT_TRUE(idx.insert_node(n));
-  }
-  hd::HostIndex::Window w;
-  ASSERT_TRUE(idx.find(20, w));
-  ASSERT_NE(w.leaf, nullptr);
-  ASSERT_TRUE(idx.shortcut_fresh(w.leaf, w.leaf_version));
-  // Unrelated reads leave the token fresh.
-  hd::HostIndex::Window w2;
-  ASSERT_TRUE(idx.find(30, w2));
-  EXPECT_TRUE(idx.shortcut_fresh(w.leaf, w.leaf_version));
-  // Any mutation of that leaf — here an insert landing beside key 20 —
-  // bumps the seqlock and retires the token.
-  hd::HostIndex::Node* n = idx.make_node(21, 21, 1);
-  ASSERT_TRUE(idx.insert_node(n));
-  EXPECT_FALSE(idx.shortcut_fresh(w.leaf, w.leaf_version));
-  // A re-descent mints a fresh token.
-  ASSERT_TRUE(idx.find(20, w));
-  EXPECT_TRUE(idx.shortcut_fresh(w.leaf, w.leaf_version));
+TEST(EntryApi, PointerNodeLayoutMatchesOracle) {
+  exercise_entry_api<hd::LfSkipList>(0xBEEF);
 }
 
-#endif  // !HYBRIDS_NO_FATNODE
+TEST(EntryApi, FatLayoutMatchesOracle) {
+  exercise_entry_api<hd::FatSkipList>(0xF00D);
+}
+
+TEST(FatSkipList, ShortcutTokenGoesStaleOnLeafMutation) {
+  hd::FatSkipList idx(8);
+  for (Key k = 10; k <= 40; k += 10) {
+    ASSERT_TRUE(idx.insert_node(idx.make_entry(k, k, 1)));
+  }
+  hd::FatSkipList::View w;
+  ASSERT_TRUE(idx.find(20, w));
+  ASSERT_NE(w.leaf, nullptr);
+  ASSERT_TRUE(idx.node_version_is(w.leaf, w.leaf_version));
+  // Unrelated reads leave the token fresh.
+  hd::FatSkipList::View w2;
+  ASSERT_TRUE(idx.find(30, w2));
+  EXPECT_TRUE(idx.node_version_is(w.leaf, w.leaf_version));
+  // Any mutation of that leaf — here an insert landing beside key 20 —
+  // bumps the seqlock and retires the token.
+  ASSERT_TRUE(idx.insert_node(idx.make_entry(21, 21, 1)));
+  EXPECT_FALSE(idx.node_version_is(w.leaf, w.leaf_version));
+  // A re-descent mints a fresh token.
+  ASSERT_TRUE(idx.find(20, w));
+  EXPECT_TRUE(idx.node_version_is(w.leaf, w.leaf_version));
+}

@@ -138,8 +138,10 @@ TEST(ScanProtocol, ScanFromStaleBeginNodeRetries) {
   nmp::Response resp;
   hd::HybridSkipList::apply(list, 4, 0, stale, from_head, req, resp);
   EXPECT_TRUE(resp.retry);
-  EXPECT_EQ(stale.value(), 1u);
-  EXPECT_EQ(from_head.value(), 0u);
+  if constexpr (tel::kEnabled) {
+    EXPECT_EQ(stale.value(), 1u);
+    EXPECT_EQ(from_head.value(), 0u);
+  }
 
   // The host's retry drops the shortcut: same request from the partition
   // head succeeds and returns the surviving keys.
@@ -148,7 +150,9 @@ TEST(ScanProtocol, ScanFromStaleBeginNodeRetries) {
   hd::HybridSkipList::apply(list, 4, 0, stale, from_head, req, resp);
   EXPECT_FALSE(resp.retry);
   EXPECT_TRUE(resp.ok);
-  EXPECT_EQ(from_head.value(), 1u);
+  if constexpr (tel::kEnabled) {
+    EXPECT_EQ(from_head.value(), 1u);
+  }
   ASSERT_EQ(resp.value, 2u);
   EXPECT_EQ(buf[0].key, 20u);
   EXPECT_EQ(buf[1].key, 30u);
@@ -316,7 +320,10 @@ TEST(HybridSkipListScan, OracleSlicesAndPartitionHops) {
     }
   }
   // The full-range scans above crossed all 4 partitions repeatedly.
-  EXPECT_GT(tel::counter(tel::names::kScanPartitionHops).value(), hops_before);
+  if constexpr (tel::kEnabled) {
+    EXPECT_GT(tel::counter(tel::names::kScanPartitionHops).value(),
+              hops_before);
+  }
 }
 
 TEST(HybridBTreeScan, OracleSlicesAfterChurn) {
