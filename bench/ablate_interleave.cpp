@@ -1,26 +1,32 @@
-// Ablation — coroutine-interleaved host traversals (host/interleave.hpp).
+// Ablation — coroutine-interleaved non-blocking operations
+// (host/interleave.hpp).
 //
 // Sweeps the per-thread frame depth k (--depths, default 1,2,4,8,16) on the
 // hybrid skiplist under YCSB-C (100% zipfian point reads) and YCSB-E (95%
 // stitched scans / 5% inserts), plus the hybrid B+tree under YCSB-C. Depth 1
 // is the blocking baseline — the exact code paths every figure bench runs —
-// and each k>1 arm drives k traversal coroutines per thread through a
-// host::Frame, overlapping publication-slot round-trips (and, on machines
-// with a real cache hierarchy, the prefetch-shadowed descents).
+// and each k>1 arm drives k operation coroutines per thread through a
+// host::Frame, overlapping their publication-slot round trips (the paper's
+// non-blocking calls, §3.5; host descents run straight through).
 //
-// Expected shape: throughput per thread grows monotonically from depth 1 to
-// a knee (typically 4-8: once every combiner pass finds the thread's slots
-// full, more depth only adds switch overhead), then flattens. On the zipfian
-// read arms, checksums cross-check the depths: interleaving reorders ops in
-// flight but must never change what a read returns against static contents.
+// Expected shape: throughput per thread grows from depth 1 to a knee
+// (typically 4-8: once every combiner pass finds the thread's slots full,
+// more depth only adds switch overhead), then flattens. On the zipfian read
+// arms, checksums cross-check the depths: interleaving reorders ops in
+// flight but must never change what a read returns against static contents,
+// so any rep of any arm that folds to a different sum exits 1.
 //
-// Every arm builds its structures fresh (same seeds, slots_per_thread pinned
+// Every arm builds its structures once (same seeds, slots_per_thread pinned
 // at the maximum frame depth) so placement and preload are identical; only
-// the scheduling differs. docs/INTERLEAVING.md#depth-tuning reads the knee.
+// the scheduling differs. The arms run kReps timed reps, interleaved
+// rep-major so machine drift hits every arm equally, and the table reports
+// each arm's median with its IQR. docs/INTERLEAVING.md#depth-tuning reads
+// the knee.
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <iostream>
+#include <memory>
 #include <optional>
 #include <thread>
 #include <vector>
@@ -124,23 +130,16 @@ RunResult run_threads(DS& ds, const hw::WorkloadSpec& spec,
   return r;
 }
 
-template <typename DS>
-RunResult best_of(DS& ds, const hw::WorkloadSpec& spec, std::uint32_t threads,
-                  std::uint32_t depth, std::uint64_t warmup, std::uint64_t ops,
-                  int reps) {
-  RunResult best;
-  for (int r = 0; r < reps; ++r) {
-    const RunResult run = run_threads(ds, spec, threads, depth, warmup, ops);
-    if (run.mops > best.mops) best.mops = run.mops;
-    best.checksum = run.checksum;
-  }
-  return best;
-}
+constexpr int kReps = 7;
 
+/// One depth arm: its own structures, and every rep's throughput per
+/// workload.
 struct Arm {
-  RunResult sl_c;  // hybrid-skiplist YCSB-C
-  RunResult sl_e;  // hybrid-skiplist YCSB-E
-  RunResult bt_c;  // hybrid-btree   YCSB-C
+  std::unique_ptr<hd::HybridSkipList> list;
+  std::unique_ptr<hd::HybridBTree> tree;
+  std::vector<double> sl_c;  // hybrid-skiplist YCSB-C, Mops/s per rep
+  std::vector<double> sl_e;  // hybrid-skiplist YCSB-E
+  std::vector<double> bt_c;  // hybrid-btree   YCSB-C
 };
 
 }  // namespace
@@ -152,7 +151,6 @@ int main(int argc, char** argv) {
   const std::uint64_t keys =
       opt.keys ? opt.keys : (opt.full ? 1ull << 20 : 1ull << 16);
   const std::uint32_t threads = opt.threads.empty() ? 1 : opt.threads.front();
-  const int reps = 3;
   std::uint32_t max_depth = 1;
   for (const std::uint32_t d : opt.depths) max_depth = std::max(max_depth, d);
 
@@ -163,11 +161,10 @@ int main(int argc, char** argv) {
 
   std::cout << "Ablation: coroutine interleaving depth (" << keys << " keys, "
             << threads << " thread(s), " << opt.ops
-            << " ops/thread, best of " << reps << ")\n\n";
+            << " ops/thread, median [IQR] of " << kReps << " reps)\n\n";
 
-  std::vector<Arm> arms;
-  for (const std::uint32_t depth : opt.depths) {
-    Arm arm;
+  std::vector<Arm> arms(opt.depths.size());
+  for (Arm& arm : arms) {
     {
       hd::HybridSkipList::Config cfg;
       int total = 1;
@@ -180,14 +177,10 @@ int main(int argc, char** argv) {
       cfg.partition_width = layout.partition_width();
       cfg.max_threads = threads;
       cfg.slots_per_thread = max_depth;  // identical across arms
-      hd::HybridSkipList list(cfg);
+      arm.list = std::make_unique<hd::HybridSkipList>(cfg);
       for (hybrids::Key k : layout.initial_key_set()) {
-        (void)list.insert(k, k, 0);
+        (void)arm.list->insert(k, k, 0);
       }
-      arm.sl_c = best_of(list, spec_c, threads, depth, opt.warmup, opt.ops,
-                         reps);
-      arm.sl_e = best_of(list, spec_e, threads, depth, opt.warmup, opt.ops,
-                         reps);
     }
     {
       hd::HybridBTree::Config cfg;
@@ -198,58 +191,82 @@ int main(int argc, char** argv) {
       cfg.slots_per_thread = max_depth;
       const std::vector<hybrids::Key> ks = layout.initial_key_set();
       const std::vector<hybrids::Value> vs(ks.begin(), ks.end());
-      hd::HybridBTree tree(cfg, ks, vs);
-      arm.bt_c = best_of(tree, spec_c, threads, depth, opt.warmup, opt.ops,
-                         reps);
+      arm.tree = std::make_unique<hd::HybridBTree>(cfg, ks, vs);
     }
-    arms.push_back(arm);
   }
 
-  // Zipfian reads against static contents: interleaving must not change
-  // results, whatever order the frame completes them in.
-  std::size_t base_idx = arms.size();
+  // Zipfian reads against static contents (YCSB-E only inserts keys the
+  // YCSB-C streams never read): interleaving must not change results,
+  // whatever order the frame completes them in, so every rep of every arm
+  // must fold to the first run's sums.
+  std::uint64_t sl_sum = 0;
+  std::uint64_t bt_sum = 0;
+  for (int rep = 0; rep < kReps; ++rep) {
+    for (std::size_t i = 0; i < arms.size(); ++i) {
+      Arm& arm = arms[i];
+      const std::uint32_t depth = opt.depths[i];
+      const RunResult sl_c = run_threads(*arm.list, spec_c, threads, depth,
+                                         opt.warmup, opt.ops);
+      const RunResult sl_e = run_threads(*arm.list, spec_e, threads, depth,
+                                         opt.warmup, opt.ops);
+      const RunResult bt_c = run_threads(*arm.tree, spec_c, threads, depth,
+                                         opt.warmup, opt.ops);
+      if (rep == 0 && i == 0) {
+        sl_sum = sl_c.checksum;
+        bt_sum = bt_c.checksum;
+      }
+      if (sl_c.checksum != sl_sum || bt_c.checksum != bt_sum) {
+        std::cerr << "BUG: YCSB-C checksum differs between depth "
+                  << opt.depths.front() << " and depth " << depth << " (rep "
+                  << rep << ")\n";
+        return 1;
+      }
+      arm.sl_c.push_back(sl_c.mops);
+      arm.sl_e.push_back(sl_e.mops);
+      arm.bt_c.push_back(bt_c.mops);
+    }
+  }
+
+  // Speedups are ratios of medians against the depth-1 arm (the first arm
+  // when depth 1 was not swept).
+  std::size_t base_idx = 0;
   for (std::size_t i = 0; i < arms.size(); ++i) {
     if (opt.depths[i] == 1) {
       base_idx = i;
       break;
     }
   }
-  if (base_idx < arms.size()) {
-    for (std::size_t i = 0; i < arms.size(); ++i) {
-      if (arms[i].sl_c.checksum != arms[base_idx].sl_c.checksum ||
-          arms[i].bt_c.checksum != arms[base_idx].bt_c.checksum) {
-        std::cerr << "BUG: YCSB-C checksum differs between depth "
-                  << opt.depths[base_idx] << " and depth " << opt.depths[i]
-                  << "\n";
-        return 1;
-      }
-    }
-  }
-
-  hybrids::util::Table table({"depth", "sl ycsb-c Mops/s", "c speedup",
-                              "sl ycsb-e Mops/s", "e speedup",
-                              "bt ycsb-c Mops/s", "bt speedup"});
-  const Arm& base = base_idx < arms.size() ? arms[base_idx] : arms.front();
+  const hb::Spread base_c = hb::spread_of(arms[base_idx].sl_c);
+  const hb::Spread base_e = hb::spread_of(arms[base_idx].sl_e);
+  const hb::Spread base_b = hb::spread_of(arms[base_idx].bt_c);
+  hybrids::util::Table table({"depth", "sl ycsb-c Mops/s", "c IQR",
+                              "c speedup", "sl ycsb-e Mops/s", "e IQR",
+                              "e speedup", "bt ycsb-c Mops/s", "bt IQR",
+                              "bt speedup"});
   for (std::size_t i = 0; i < arms.size(); ++i) {
-    const Arm& a = arms[i];
+    const hb::Spread c = hb::spread_of(arms[i].sl_c);
+    const hb::Spread e = hb::spread_of(arms[i].sl_e);
+    const hb::Spread b = hb::spread_of(arms[i].bt_c);
     table.new_row()
         .add_cell(std::to_string(opt.depths[i]))
-        .add_num(a.sl_c.mops, 3)
-        .add_num(base.sl_c.mops > 0 ? a.sl_c.mops / base.sl_c.mops : 0, 3)
-        .add_num(a.sl_e.mops, 3)
-        .add_num(base.sl_e.mops > 0 ? a.sl_e.mops / base.sl_e.mops : 0, 3)
-        .add_num(a.bt_c.mops, 3)
-        .add_num(base.bt_c.mops > 0 ? a.bt_c.mops / base.bt_c.mops : 0, 3);
+        .add_num(c.median, 3)
+        .add_num(c.iqr(), 3)
+        .add_num(c.median / base_c.median, 3)
+        .add_num(e.median, 3)
+        .add_num(e.iqr(), 3)
+        .add_num(e.median / base_e.median, 3)
+        .add_num(b.median, 3)
+        .add_num(b.iqr(), 3)
+        .add_num(b.median / base_b.median, 3);
   }
   if (opt.csv) table.print_csv(std::cout); else table.print(std::cout);
 
-  if (base_idx < arms.size()) {
-    for (std::size_t i = 0; i < arms.size(); ++i) {
-      if (opt.depths[i] == 8) {
-        std::cout << "\ndepth-8 zipfian-read speedup vs blocking: "
-                  << arms[i].sl_c.mops / base.sl_c.mops << "x (skiplist), "
-                  << arms[i].bt_c.mops / base.bt_c.mops << "x (btree)\n";
-      }
+  for (std::size_t i = 0; i < arms.size(); ++i) {
+    if (opt.depths[i] == 8 && opt.depths[base_idx] == 1) {
+      std::cout << "\ndepth-8 zipfian-read speedup vs blocking (medians): "
+                << hb::spread_of(arms[i].sl_c).median / base_c.median
+                << "x (skiplist), "
+                << hb::spread_of(arms[i].bt_c).median / base_b.median << "x (btree)\n";
     }
   }
   return 0;

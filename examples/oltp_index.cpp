@@ -4,7 +4,8 @@
 // A small "orders" table is bulk-loaded in sorted order (as OLTP systems do
 // when building an index over an existing table, §3.4), then serves a mix
 // of point lookups, new-order inserts, and cancellations from multiple
-// worker threads — the shape of an OLTP transaction workload.
+// worker threads — the shape of an OLTP transaction workload. Exits 1 if a
+// lookup misses or the final size or structure is wrong.
 //
 //   $ ./examples/oltp_index
 #include <atomic>
@@ -93,9 +94,12 @@ int main() {
   std::printf("new orders: %llu, cancellations: %llu\n",
               static_cast<unsigned long long>(inserts.load()),
               static_cast<unsigned long long>(removes.load()));
-  std::printf("final index size: %zu (expected %llu), valid=%s\n", index.size(),
-              static_cast<unsigned long long>(kInitialOrders + inserts.load() -
-                                              removes.load()),
-              index.validate() ? "true" : "false");
-  return 0;
+  const std::size_t expected = kInitialOrders + inserts.load() - removes.load();
+  const bool valid = index.validate();
+  std::printf("final index size: %zu (expected %zu), valid=%s\n", index.size(),
+              expected, valid ? "true" : "false");
+  // Lookups only touch bulk-loaded (even) ids, which nothing removes.
+  return found.load() == lookups.load() && index.size() == expected && valid
+             ? 0
+             : 1;
 }

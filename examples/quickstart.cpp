@@ -1,5 +1,6 @@
 // Quickstart: create a hybrid skiplist, run the basic operations from a few
-// threads, and try the non-blocking call API.
+// threads, and keep several operations in flight on one thread with the
+// non-blocking (coroutine) API. Exits 1 if any result is wrong.
 //
 //   $ ./examples/quickstart
 //
@@ -12,6 +13,7 @@
 #include <vector>
 
 #include "hybrids/ds/hybrid_skiplist.hpp"
+#include "hybrids/host/interleave.hpp"
 
 using hybrids::Key;
 using hybrids::Value;
@@ -30,15 +32,16 @@ int main() {
 
   // --- basic operations (thread id identifies the publication-list slot) ---
   const std::uint32_t tid = 0;
-  index.insert(/*key=*/42, /*value=*/4242, tid);
+  bool ok = index.insert(/*key=*/42, /*value=*/4242, tid);
   Value v = 0;
-  if (index.read(42, v, tid)) std::printf("key 42 -> %u\n", v);
-  index.update(42, 999, tid);
-  index.read(42, v, tid);
+  ok = ok && index.read(42, v, tid) && v == 4242;
+  std::printf("key 42 -> %u\n", v);
+  ok = ok && index.update(42, 999, tid) && index.read(42, v, tid) && v == 999;
   std::printf("key 42 updated -> %u\n", v);
-  index.remove(42, tid);
-  std::printf("key 42 present after remove? %s\n",
-              index.read(42, v, tid) ? "yes" : "no");
+  ok = ok && index.remove(42, tid);
+  const bool present = index.read(42, v, tid);
+  std::printf("key 42 present after remove? %s\n", present ? "yes" : "no");
+  ok = ok && !present;
 
   // --- concurrent usage: each thread passes its own id ---
   std::vector<std::thread> threads;
@@ -50,27 +53,31 @@ int main() {
     });
   }
   for (auto& th : threads) th.join();
+  const bool valid = index.validate();
   std::printf("after concurrent inserts: %zu keys, valid=%s\n", index.size(),
-              index.validate() ? "true" : "false");
+              valid ? "true" : "false");
+  ok = ok && valid && index.size() == 4000;
 
   // --- non-blocking NMP calls (§3.5): up to 4 operations in flight ---
-  std::vector<hybrids::ds::HybridSkipList::Ticket> pending;
-  std::uint64_t hits = 0;
-  for (Key k = 0; k < 4000; ++k) {
-    auto ticket = index.read_async(k, tid);
-    if (ticket.state == hybrids::ds::HybridSkipList::Ticket::State::kRejected) {
-      hits += index.finish(pending.front(), &v) ? 1 : 0;  // drain the oldest
-      pending.erase(pending.begin());
-      ticket = index.read_async(k, tid);
-    }
-    if (ticket.state == hybrids::ds::HybridSkipList::Ticket::State::kImmediate) {
-      hits += ticket.ok ? 1 : 0;  // served from the host-managed portion
-    } else {
-      pending.push_back(ticket);
-    }
+  // Every operation is also a coroutine (read_co, insert_co, ...). A Frame
+  // runs up to 4 of them on this thread: while one waits for its NMP
+  // partition, the frame resumes another.
+  constexpr Key kReads = 4000;
+  hybrids::host::Frame frame(4);
+  std::vector<hybrids::host::CoTask<bool>> reads;
+  std::vector<Value> values(kReads, 0);
+  reads.reserve(kReads);
+  for (Key k = 0; k < kReads; ++k) {
+    reads.push_back(index.read_co(k, &values[k], tid));
+    while (!frame.submit(reads.back().handle())) frame.step();  // frame full
   }
-  for (auto& t : pending) hits += index.finish(t, &v) ? 1 : 0;
-  std::printf("non-blocking reads found %llu of 4000 keys\n",
-              static_cast<unsigned long long>(hits));
-  return 0;
+  frame.drain();
+  std::uint64_t hits = 0;
+  for (Key k = 0; k < kReads; ++k) {
+    if (reads[k].result() && values[k] == k / 4) ++hits;  // key k*4+t -> k
+  }
+  std::printf("non-blocking reads found %llu of %u keys\n",
+              static_cast<unsigned long long>(hits), kReads);
+  ok = ok && hits == kReads;
+  return ok ? 0 : 1;
 }

@@ -55,7 +55,6 @@
 #include <new>
 
 #include "hybrids/ds/lockfree_skiplist.hpp"
-#include "hybrids/host/interleave.hpp"
 #include "hybrids/mem/ebr.hpp"
 #include "hybrids/mem/memlayer.hpp"
 #include "hybrids/mem/node_pool.hpp"
@@ -181,27 +180,6 @@ class FatSkipList {
     const LevelPos pos = descend(key, scanned);
     keys_scanned_->add(scanned);
     return finish_view(pos, key, out);
-  }
-
-  /// Coroutine twin: prefetch-and-yield once per visited node (the whole
-  /// two-line node, not per key) so sibling traversals in the frame overlap
-  /// the line fills. Rightward B-link hops prefetch without yielding — they
-  /// are rare (one per concurrent split caught mid-publish).
-  host::CoTask<bool> find_co(Key key, View* out) {
-    mem::EbrGuard guard;
-    std::uint64_t scanned = 0;
-    LevelPos pos{};
-    FatNode* start = heads_[max_height_ - 1];
-    for (int lvl = max_height_ - 1; lvl >= 0; --lvl) {
-      co_await host::prefetch_and_yield(start, sizeof(FatNode));
-      walk_level(start, lvl, key, pos, scanned);
-      if (lvl > 0) {
-        start = pos.le.node != nullptr ? static_cast<FatNode*>(pos.le.ptr)
-                                       : heads_[lvl - 1];
-      }
-    }
-    keys_scanned_->add(scanned);
-    co_return finish_view(pos, key, *out);
   }
 
   /// Wait-free-ish point lookup of the resident entry for `key` (nullptr on

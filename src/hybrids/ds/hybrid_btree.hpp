@@ -173,35 +173,18 @@ class HybridBTree {
   HybridBTree(const HybridBTree&) = delete;
   HybridBTree& operator=(const HybridBTree&) = delete;
 
-  /// Traversal snapshot: the recorded host path and sequence numbers
-  /// (Listing 4's path[] / local_seqnum[]), plus the selected begin node.
-  /// Public because non-blocking Tickets carry one.
-  struct Frame {
-    HostBNode* path[kBTreeMaxLevels] = {};
-    std::uint32_t seqs[kBTreeMaxLevels] = {};
-    // Inclusive key-range upper bound of path[lvl] (the divider chosen at
-    // its parent); bnd[lvl] == false means rightmost spine, no upper bound.
-    // Recorded together with seqs[lvl], so the same seqlock validation that
-    // vouches for the path vouches for the bounds.
-    Key uppers[kBTreeMaxLevels] = {};
-    bool bnd[kBTreeMaxLevels] = {};
-    int root_level = 0;
-    NmpRef begin{};                // begin-NMP-traversal node + partition tag
-    std::uint32_t partition = 0;
-    Key upper = 0;        // inclusive upper bound of the begin subtree
-    bool bounded = false; // false: begin is the rightmost subtree
-  };
-
   // ----- operations ---------------------------------------------------------
   //
   // Each operation has exactly one body, its coroutine (docs/INTERLEAVING.md).
-  // Under a host::Frame the inner-node descent suspends after each
-  // whole-node prefetch (traverse_co) and the publication round-trip parks
-  // on its slot (host::offload). The blocking entry points run the same body
-  // through host::run_inline, where no awaiter suspends and host::offload is
-  // the plain blocking call. The LOCK_PATH escalation of insert_co stays
-  // blocking (complete_escalated_insert): escalations are rare structural
-  // changes already serialized by host-side locks.
+  // The host descent is a plain traverse(); the op suspends only where its
+  // publication round-trip parks on its slot (host::offload), so under a
+  // host::Frame sibling operations overlap the NMP wait (§3.5). The blocking
+  // entry points run the same body through host::run_inline, where
+  // host::offload is the plain blocking call. The LOCK_PATH escalation of
+  // insert_co stays blocking (complete_escalated_insert): it holds host
+  // seqlocks across the RESUME_INSERT round trip, and a sibling op on the
+  // same frame would spin in wait_even_seq on one of them, so suspending
+  // there would deadlock the thread.
 
   bool read(Key key, Value& out, std::uint32_t tid) {
     return host::run_inline(read_co(key, &out, tid));
@@ -256,7 +239,7 @@ class HybridBTree {
         trace::record_instant(tok.id, trace::Phase::kCacheLookup, d0, op8,
                               static_cast<std::int16_t>(part));
       } else {
-        if (!co_await traverse_co(key, frame)) continue;
+        if (!traverse(key, frame)) continue;
         part = frame.partition;
         trace::record_span(tok.id, trace::Phase::kHostDescend, d0,
                            tok.sampled() ? telemetry::now_ns() : 0, op8,
@@ -318,7 +301,7 @@ class HybridBTree {
         trace::record_instant(tok.id, trace::Phase::kCacheLookup, d0, op8,
                               static_cast<std::int16_t>(part));
       } else {
-        if (!co_await traverse_co(key, frame)) continue;
+        if (!traverse(key, frame)) continue;
         part = frame.partition;
         trace::record_span(tok.id, trace::Phase::kHostDescend, d0,
                            tok.sampled() ? telemetry::now_ns() : 0, op8,
@@ -361,7 +344,7 @@ class HybridBTree {
     while (true) {
       const std::uint64_t d0 = tok.sampled() ? telemetry::now_ns() : 0;
       Frame frame;
-      if (!co_await traverse_co(key, frame)) continue;
+      if (!traverse(key, frame)) continue;
       const auto part16 = static_cast<std::int16_t>(frame.partition);
       trace::record_span(tok.id, trace::Phase::kHostDescend, d0,
                          tok.sampled() ? telemetry::now_ns() : 0, op8, part16);
@@ -394,7 +377,7 @@ class HybridBTree {
     while (true) {
       const std::uint64_t d0 = tok.sampled() ? telemetry::now_ns() : 0;
       Frame frame;
-      if (!co_await traverse_co(key, frame)) continue;
+      if (!traverse(key, frame)) continue;
       const auto part16 = static_cast<std::int16_t>(frame.partition);
       trace::record_span(tok.id, trace::Phase::kHostDescend, d0,
                          tok.sampled() ? telemetry::now_ns() : 0, op8, part16);
@@ -465,7 +448,7 @@ class HybridBTree {
     while (filled < count) {
       const std::uint64_t c0 = tok.sampled() ? telemetry::now_ns() : 0;
       Frame frame;
-      if (!co_await traverse_co(cur, frame)) continue;
+      if (!traverse(cur, frame)) continue;
       part16 = static_cast<std::int16_t>(frame.partition);
       trace::record_span(tok.id, trace::Phase::kHostDescend, c0,
                          tok.sampled() ? telemetry::now_ns() : 0, op8, part16);
@@ -513,119 +496,6 @@ class HybridBTree {
   }
 
 
-  // ----- non-blocking operations (§3.5) --------------------------------------
-
-  struct Ticket {
-    enum class State : std::uint8_t { kPending, kRejected, kDone };
-    State state = State::kRejected;
-    nmp::OpCode op = nmp::OpCode::kNop;
-    Key key = 0;
-    Value new_value = 0;
-    nmp::OpHandle handle{};
-    Frame frame{};
-    std::uint32_t tid = 0;
-    Value cached = 0;              // kDone: value served from the hot cache
-    std::uint64_t cache_gen = 0;   // generation captured at posting time
-  };
-
-  Ticket op_async(nmp::OpCode op, Key key, Value value, std::uint32_t tid) {
-    Ticket t;
-    t.op = op;
-    t.key = key;
-    t.new_value = value;
-    t.tid = tid;
-    if (op == nmp::OpCode::kRead && cache_ != nullptr &&
-        cache_->lookup_value(key, t.cached)) {
-      t.state = Ticket::State::kDone;  // hot key: no publication round-trip
-      return t;
-    }
-    // Async ops record their transport phases but no enclosing kOp span:
-    // their wall-clock overlaps whatever the host does in between, so an
-    // enclosing span would misattribute. A blocking fallback in finish()
-    // traces as a fresh op.
-    const std::uint64_t trace_id = trace::begin_op().id;
-    while (true) {
-      if (!traverse(key, t.frame)) continue;
-      t.cache_gen = cache_gen(t.frame.partition);
-      t.handle = offload_async(op, key, value, t.frame, tid, trace_id);
-      t.state = t.handle.valid ? Ticket::State::kPending : Ticket::State::kRejected;
-      return t;
-    }
-  }
-
-  Ticket read_async(Key key, std::uint32_t tid) {
-    return op_async(nmp::OpCode::kRead, key, 0, tid);
-  }
-  Ticket update_async(Key key, Value value, std::uint32_t tid) {
-    return op_async(nmp::OpCode::kUpdate, key, value, tid);
-  }
-  Ticket insert_async(Key key, Value value, std::uint32_t tid) {
-    return op_async(nmp::OpCode::kInsert, key, value, tid);
-  }
-  Ticket remove_async(Key key, std::uint32_t tid) {
-    return op_async(nmp::OpCode::kRemove, key, 0, tid);
-  }
-
-  bool poll(const Ticket& t) {
-    return t.state != Ticket::State::kPending || set_.poll(t.handle);
-  }
-
-  /// Completes a non-blocking operation; falls back to the blocking path on
-  /// NMP-requested retries, and runs the host half of LOCK_PATH escalations.
-  bool finish(Ticket& t, Value* out = nullptr) {
-    if (t.state == Ticket::State::kDone) {
-      if (out != nullptr) *out = t.cached;
-      return true;
-    }
-    assert(t.state == Ticket::State::kPending);
-    nmp::Response r = set_.retrieve(t.handle);
-    if (must_retry(r)) {
-      if (cache_ != nullptr && r.failed_over) {
-        cache_->bump_generation(t.frame.partition);
-      }
-      host_retry_->inc();
-      switch (t.op) {
-        case nmp::OpCode::kRead: {
-          Value v = 0;
-          const bool ok = read(t.key, v, t.tid);
-          if (out != nullptr) *out = v;
-          return ok;
-        }
-        case nmp::OpCode::kUpdate:
-          return update(t.key, t.new_value, t.tid);
-        case nmp::OpCode::kInsert:
-          return insert(t.key, t.new_value, t.tid);
-        default:
-          return remove(t.key, t.tid);
-      }
-    }
-    if (r.lock_path) {
-      lock_path_->inc();
-      bool done = false;
-      if (complete_escalated_insert(t.frame, r.node, t.frame.partition, t.tid, done)) {
-        return done;
-      }
-      return insert(t.key, t.new_value, t.tid);  // locking failed: redo
-    }
-    if (cache_ != nullptr && r.ok) {
-      const std::uint32_t part = t.frame.partition;
-      switch (t.op) {
-        case nmp::OpCode::kRead:
-          cache_->fill_value(t.key, part, r.value, r.aux, t.cache_gen);
-          break;
-        case nmp::OpCode::kUpdate:
-          cache_->invalidate_value(t.key, part, r.aux);
-          cache_->fill_value(t.key, part, t.new_value, r.aux, t.cache_gen);
-          break;
-        default:  // kInsert / kRemove
-          cache_->invalidate_value(t.key, part, r.aux);
-          break;
-      }
-    }
-    if (out != nullptr) *out = r.value;
-    return r.ok;
-  }
-
   // ----- introspection (quiescent-only) --------------------------------------
 
   const Config& config() const { return config_; }
@@ -659,6 +529,24 @@ class HybridBTree {
   }
 
  private:
+  /// Traversal snapshot: the recorded host path and sequence numbers
+  /// (Listing 4's path[] / local_seqnum[]), plus the selected begin node.
+  struct Frame {
+    HostBNode* path[kBTreeMaxLevels] = {};
+    std::uint32_t seqs[kBTreeMaxLevels] = {};
+    // Inclusive key-range upper bound of path[lvl] (the divider chosen at
+    // its parent); bnd[lvl] == false means rightmost spine, no upper bound.
+    // Recorded together with seqs[lvl], so the same seqlock validation that
+    // vouches for the path vouches for the bounds.
+    Key uppers[kBTreeMaxLevels] = {};
+    bool bnd[kBTreeMaxLevels] = {};
+    int root_level = 0;
+    NmpRef begin{};                // begin-NMP-traversal node + partition tag
+    std::uint32_t partition = 0;
+    Key upper = 0;        // inclusive upper bound of the begin subtree
+    bool bounded = false; // false: begin is the rightmost subtree
+  };
+
   /// A failover bounce must re-run the op exactly like an NMP-requested
   /// retry: the request may not have executed, and the operation loops
   /// re-traverse before re-posting. (lock_path is handled separately — the
@@ -786,68 +674,6 @@ class HybridBTree {
     return true;
   }
 
-  /// Coroutine twin of traverse(): same optimistic descent, but the
-  /// whole-node prefetch of each child becomes a prefetch_and_yield
-  /// suspension so a sibling operation runs while the child's three lines
-  /// travel. Seqlock validation happens after the resume — a concurrent
-  /// split during the suspension is caught by the same seq_unchanged /
-  /// climb machinery as in traverse() (host nodes are pool-recycled,
-  /// never unmapped, so the racy child pointer stays safe to touch).
-  host::CoTask<bool> traverse_co(Key key, Frame& frame) const {
-    HostBNode* root = root_.load(std::memory_order_acquire);
-    const std::uint32_t root_seq = root->wait_even_seq();
-    if (root_.load(std::memory_order_acquire) != root) co_return false;
-    frame.root_level = root->level;
-    frame.path[root->level] = root;
-    frame.seqs[root->level] = root_seq;
-    frame.uppers[root->level] = 0;
-    frame.bnd[root->level] = false;
-
-    int lvl = root->level;
-    HostBNode* curr = root;
-    while (lvl > last_host_level_) {
-      const int idx = curr->find_child_index(key);
-      HostBNode* child = curr->load_child(idx);
-      co_await host::prefetch_and_yield(child, sizeof(HostBNode));
-      Key child_upper = frame.uppers[lvl];
-      bool child_bnd = frame.bnd[lvl];
-      if (idx < curr->load_slotuse()) {
-        child_upper = curr->load_key(idx);
-        child_bnd = true;
-      }
-      if (!curr->seq_unchanged(frame.seqs[lvl])) {
-        if (!climb(frame, lvl, curr)) co_return false;
-        continue;
-      }
-      const std::uint32_t child_seq = child->wait_even_seq();
-      frame.path[lvl - 1] = child;
-      frame.seqs[lvl - 1] = child_seq;
-      frame.uppers[lvl - 1] = child_upper;
-      frame.bnd[lvl - 1] = child_bnd;
-      if (curr->seq_unchanged(frame.seqs[lvl])) {
-        --lvl;
-        curr = child;
-      } else {
-        if (!climb(frame, lvl, curr)) co_return false;
-      }
-    }
-    const int idx = curr->find_child_index(key);
-    const std::uintptr_t bits = curr->load_child_bits(idx);
-    Key sel_upper = frame.uppers[lvl];
-    bool sel_bnd = frame.bnd[lvl];
-    if (idx < curr->load_slotuse()) {
-      sel_upper = curr->load_key(idx);
-      sel_bnd = true;
-    }
-    if (!curr->seq_unchanged(frame.seqs[lvl])) co_return false;
-    frame.begin = NmpRef{};
-    frame.begin = ref_from_bits(bits);
-    frame.partition = frame.begin.tag();
-    frame.upper = sel_upper;
-    frame.bounded = sel_bnd;
-    co_return true;
-  }
-
   static NmpRef ref_from_bits(std::uintptr_t bits) {
     NmpRef r;
     // TaggedPtr has no public bit constructor taking uintptr_t; rebuild.
@@ -879,13 +705,6 @@ class HybridBTree {
     r.aux = frame.seqs[last_host_level_];  // offloaded parent seqnum
     r.trace_id = trace_id;
     return r;
-  }
-
-  nmp::OpHandle offload_async(nmp::OpCode op, Key key, Value value,
-                              const Frame& frame, std::uint32_t tid,
-                              std::uint64_t trace_id = 0) {
-    return set_.call_async(frame.partition, tid,
-                           make_request(op, key, value, frame, trace_id));
   }
 
   /// Host half of the LOCK_PATH protocol. Returns true if the insert ran to

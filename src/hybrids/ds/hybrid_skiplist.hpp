@@ -178,12 +178,12 @@ class HybridSkipList {
   // ----- operations ---------------------------------------------------------
   //
   // Each operation has exactly one body, its coroutine (docs/INTERLEAVING.md).
-  // Under a host::Frame the host descent suspends at each prefetch
-  // (FatSkipList::find_co) and the publication round-trip parks on its slot
-  // (host::offload), so sibling operations on the same thread overlap both
-  // kinds of dead time; every EbrGuard closes before the op parks. The
-  // blocking entry points run the same body through host::run_inline, where
-  // no awaiter suspends and host::offload is the plain blocking call.
+  // The host descent is a plain FatSkipList::find; the op suspends only where
+  // its publication round-trip parks on its slot (host::offload), so under a
+  // host::Frame sibling operations on the same thread overlap the NMP wait
+  // (the paper's non-blocking calls, §3.5). Every EbrGuard closes before the
+  // op parks. The blocking entry points run the same body through
+  // host::run_inline, where host::offload is the plain blocking call.
 
   bool read(Key key, Value& out, std::uint32_t tid) {
     return host::run_inline(read_co(key, &out, tid));
@@ -244,8 +244,8 @@ class HybridSkipList {
                               part16);
       } else {
         {
-          mem::EbrGuard guard;  // spans find_co + every Window entry read
-          if (co_await host_.find_co(key, &w)) {
+          mem::EbrGuard guard;  // spans find + every View entry read
+          if (host_.find(key, w)) {
             // Tall node: the value is mirrored host-side; serve from cache.
             host_read_hits_->inc();
             *out = w.match->value_now();
@@ -329,7 +329,7 @@ class HybridSkipList {
       } else {
         {
           mem::EbrGuard guard;
-          (void)co_await host_.find_co(key, &w);
+          (void)host_.find(key, w);
           // Updates always go through the NMP portion (the authoritative
           // copy); the response tells us which host mirror to refresh, and
           // with which version, so racing updates converge (§3.3).
@@ -385,7 +385,7 @@ class HybridSkipList {
       {
         mem::EbrGuard guard;
         FatSkipList::View w;
-        if (co_await host_.find_co(key, &w)) {  // tall node present
+        if (host_.find(key, w)) {  // tall node present
           if (tok.sampled()) {
             const std::uint64_t now = telemetry::now_ns();
             trace::record_span(tok.id, trace::Phase::kHostDescend, d0, now,
@@ -460,7 +460,7 @@ class HybridSkipList {
       {
         mem::EbrGuard guard;
         FatSkipList::View w;
-        if (co_await host_.find_co(key, &w)) {
+        if (host_.find(key, w)) {
           // Host portion first (removals proceed top-down across the split).
           if (!host_.remove(key)) {
             // A concurrent remover won the host race; it owns the NMP side.
@@ -537,7 +537,7 @@ class HybridSkipList {
       {
         mem::EbrGuard guard;
         FatSkipList::View w;
-        (void)co_await host_.find_co(cur, &w);
+        (void)host_.find(cur, w);
         r = make_request(nmp::OpCode::kScan, cur, static_cast<Value>(want), 0,
                          w.pred, nullptr, p, budget.exhausted());
         r.trace_id = tok.id;
@@ -645,231 +645,6 @@ class HybridSkipList {
   /// The hot-key cache, or nullptr when the budget is 0. Exposed for the
   /// controller and tests.
   cache::HotCache* hot_cache() { return cache_.get(); }
-
-  // ----- non-blocking operations (§3.5) --------------------------------------
-
-  /// A non-blocking operation in flight. Obtain via *_async, complete via
-  /// finish(). Operations that complete host-side (cache-hit reads) are
-  /// immediate. If the runtime rejects the call (all slots in flight),
-  /// state == kRejected and the caller should finish() older tickets first.
-  struct Ticket {
-    enum class State : std::uint8_t { kImmediate, kPending, kRejected };
-    State state = State::kRejected;
-    nmp::OpCode op = nmp::OpCode::kNop;
-    bool ok = false;            // immediate result
-    Value value = 0;            // immediate read result
-    Key key = 0;
-    Value new_value = 0;
-    nmp::OpHandle handle{};
-    LfSkipList::Node* hnode = nullptr;  // pre-built host node (insert)
-    std::uint32_t tid = 0;
-    std::uint64_t cache_gen = 0;  // partition cache generation at post time
-  };
-
-  Ticket read_async(Key key, std::uint32_t tid) {
-    Ticket t;
-    t.op = nmp::OpCode::kRead;
-    t.key = key;
-    t.tid = tid;
-    const std::uint32_t part = set_.partition_of(key);
-    if (cache_ != nullptr && cache_->lookup_value(key, t.value)) {
-      t.state = Ticket::State::kImmediate;
-      t.ok = true;
-      return t;
-    }
-    t.cache_gen = cache_gen(part);
-    // Async ops record their transport phases but no enclosing kOp span:
-    // the ticket's wall-clock overlaps whatever else the thread interleaves,
-    // so it is not a latency. The blocking fallback in finish() traces as a
-    // fresh op.
-    const trace::OpToken tok = trace::begin_op();
-    const std::uint64_t d0 = tok.sampled() ? telemetry::now_ns() : 0;
-    nmp::Request req;
-    {
-      mem::EbrGuard guard;
-      FatSkipList::View w;
-      if (host_.find(key, w)) {
-        host_read_hits_->inc();
-        t.state = Ticket::State::kImmediate;
-        t.ok = true;
-        t.value = w.match->value_now();
-        return t;
-      }
-      req = make_request(nmp::OpCode::kRead, key, 0, 0, w.pred, nullptr,
-                         part, /*force_head=*/false);
-      req.trace_id = tok.id;
-    }
-    trace::record_span(tok.id, trace::Phase::kHostDescend, d0,
-                       tok.sampled() ? telemetry::now_ns() : 0,
-                       static_cast<std::uint8_t>(nmp::OpCode::kRead),
-                       static_cast<std::int16_t>(part));
-    t.handle = set_.call_async(part, tid, req);
-    t.state = t.handle.valid ? Ticket::State::kPending : Ticket::State::kRejected;
-    return t;
-  }
-
-  Ticket insert_async(Key key, Value value, std::uint32_t tid) {
-    Ticket t;
-    t.op = nmp::OpCode::kInsert;
-    t.key = key;
-    t.new_value = value;
-    t.tid = tid;
-    const std::uint32_t part = set_.partition_of(key);
-    nmp::Request req;
-    {
-      mem::EbrGuard guard;
-      FatSkipList::View w;
-      if (host_.find(key, w)) {
-        t.state = Ticket::State::kImmediate;
-        t.ok = false;
-        return t;
-      }
-      const int height = random_height(*rngs_[tid], config_.total_height);
-      if (height > config_.nmp_height) {
-        t.hnode = host_.make_entry(key, value, height - config_.nmp_height);
-      }
-      req = make_request(nmp::OpCode::kInsert, key, value,
-                         static_cast<std::uint64_t>(height), w.pred, t.hnode,
-                         part, /*force_head=*/false);
-      req.trace_id = trace::begin_op().id;
-    }
-    t.handle = set_.call_async(part, tid, req);
-    if (!t.handle.valid) {
-      if (t.hnode != nullptr) host_.free_unlinked(t.hnode);
-      t.hnode = nullptr;
-      t.state = Ticket::State::kRejected;
-    } else {
-      t.state = Ticket::State::kPending;
-    }
-    return t;
-  }
-
-  Ticket remove_async(Key key, std::uint32_t tid) {
-    Ticket t;
-    t.op = nmp::OpCode::kRemove;
-    t.key = key;
-    t.tid = tid;
-    const std::uint32_t part = set_.partition_of(key);
-    nmp::Request req;
-    {
-      mem::EbrGuard guard;
-      FatSkipList::View w;
-      if (host_.find(key, w)) {
-        if (!host_.remove(key)) {
-          t.state = Ticket::State::kImmediate;
-          t.ok = false;
-          return t;
-        }
-        (void)host_.find(key, w);  // refresh window post-removal
-      }
-      req = make_request(nmp::OpCode::kRemove, key, 0, 0, w.pred, nullptr,
-                         part, /*force_head=*/false);
-      req.trace_id = trace::begin_op().id;
-    }
-    t.handle = set_.call_async(part, tid, req);
-    t.state = t.handle.valid ? Ticket::State::kPending : Ticket::State::kRejected;
-    return t;
-  }
-
-  Ticket update_async(Key key, Value value, std::uint32_t tid) {
-    Ticket t;
-    t.op = nmp::OpCode::kUpdate;
-    t.key = key;
-    t.new_value = value;
-    t.tid = tid;
-    const std::uint32_t part = set_.partition_of(key);
-    t.cache_gen = cache_gen(part);
-    nmp::Request req;
-    {
-      mem::EbrGuard guard;
-      FatSkipList::View w;
-      (void)host_.find(key, w);
-      req = make_request(nmp::OpCode::kUpdate, key, value, 0, w.pred,
-                         nullptr, part, /*force_head=*/false);
-      req.trace_id = trace::begin_op().id;
-    }
-    t.handle = set_.call_async(part, tid, req);
-    t.state = t.handle.valid ? Ticket::State::kPending : Ticket::State::kRejected;
-    return t;
-  }
-
-  /// True once finish() would not block.
-  bool poll(const Ticket& t) {
-    return t.state != Ticket::State::kPending || set_.poll(t.handle);
-  }
-
-  /// Completes a ticket: waits for the NMP response, applies any host-side
-  /// completion work (linking an inserted host node, refreshing a host value
-  /// mirror), and transparently re-executes the operation in blocking mode
-  /// if the NMP core requested a retry. Returns the operation result;
-  /// `out` receives the value for reads (may be null).
-  bool finish(Ticket& t, Value* out = nullptr) {
-    if (t.state == Ticket::State::kImmediate) {
-      if (out != nullptr) *out = t.value;
-      return t.ok;
-    }
-    assert(t.state == Ticket::State::kPending);
-    nmp::Response r = set_.retrieve(t.handle);
-    // A retry (or a lock_path, which this structure's protocol never issues
-    // and therefore treats as a transport anomaly) falls back to the
-    // blocking path, which carries its own retry budget.
-    const bool retry = must_retry(r);
-    if (retry) host_retry_->inc();
-    const std::uint32_t part = set_.partition_of(t.key);
-    if (cache_ != nullptr && r.failed_over) cache_->bump_generation(part);
-    switch (t.op) {
-      case nmp::OpCode::kRead:
-        if (retry) {
-          Value v = 0;
-          bool ok = read(t.key, v, t.tid);
-          if (out != nullptr) *out = v;
-          return ok;
-        }
-        if (r.promote_hint) try_promote(t.key, t.tid);
-        if (cache_ != nullptr && r.ok) {
-          cache_->fill_value(t.key, part, r.value, r.aux, t.cache_gen);
-        }
-        if (out != nullptr) *out = r.value;
-        return r.ok;
-      case nmp::OpCode::kUpdate:
-        if (retry) return update(t.key, t.new_value, t.tid);
-        if (cache_ != nullptr && r.ok) {
-          cache_->invalidate_value(t.key, part, r.aux);
-          cache_->fill_value(t.key, part, t.new_value, r.aux, t.cache_gen);
-        }
-        if (r.ok) refresh_mirror(t.key, r, t.new_value);
-        if (r.promote_hint) try_promote(t.key, t.tid);
-        return r.ok;
-      case nmp::OpCode::kInsert:
-        if (retry) {
-          if (t.hnode != nullptr) host_.free_unlinked(t.hnode);
-          t.hnode = nullptr;
-          return insert(t.key, t.new_value, t.tid);
-        }
-        if (!r.ok) {
-          if (t.hnode != nullptr) host_.free_unlinked(t.hnode);
-          t.hnode = nullptr;
-          return false;
-        }
-        if (cache_ != nullptr) cache_->invalidate_value(t.key, part, r.aux);
-        if (t.hnode != nullptr) {
-          t.hnode->payload = r.node;
-          LfSkipList::update_versioned(
-              t.hnode, static_cast<std::uint32_t>(r.aux), t.new_value);
-          if (!host_.insert_node(t.hnode)) host_.free_unlinked(t.hnode);
-          t.hnode = nullptr;
-        }
-        return true;
-      case nmp::OpCode::kRemove:
-        if (retry) return remove(t.key, t.tid);
-        if (cache_ != nullptr && r.ok) {
-          cache_->invalidate_value(t.key, part, r.aux);
-        }
-        return r.ok;
-      default:
-        return false;
-    }
-  }
 
   // ----- introspection (quiescent-only) --------------------------------------
 
@@ -995,9 +770,9 @@ class HybridSkipList {
     }
   }
 
-  /// Caller must hold a mem::EbrGuard spanning the host_.find()/find_co()
-  /// that produced `pred0` through this call: the shortcut derivation reads
-  /// pred0's key and payload.
+  /// Caller must hold a mem::EbrGuard spanning the host_.find() that produced
+  /// `pred0` through this call: the shortcut derivation reads pred0's key and
+  /// payload.
   nmp::Request make_request(nmp::OpCode op, Key key, Value value,
                             std::uint64_t aux, LfSkipList::Node* pred0,
                             LfSkipList::Node* hnode, std::uint32_t part,

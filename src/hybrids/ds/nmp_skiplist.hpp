@@ -90,13 +90,6 @@ class NmpSkipList {
       cc.value_ratio = 1.0;  // no host descent to shortcut past
       cc.partitions = config.partitions;
       cache_ = std::make_unique<cache::HotCache>(cc);
-      // One flag per publication slot: set when the slot holds an async
-      // write, consumed in retrieve(). Slots are single-owner (see the
-      // layout note in partition_set.hpp), so plain bytes suffice.
-      async_write_flags_.assign(
-          static_cast<std::size_t>(config.partitions) * config.max_threads *
-              (1 + config.slots_per_thread),
-          0);
     }
     set_.start();
   }
@@ -105,11 +98,11 @@ class NmpSkipList {
 
   // ----- operations --------------------------------------------------------
   //
-  // Each operation has one body, its coroutine (docs/INTERLEAVING.md). The
-  // NMP-only skiplist has no host descent to interleave, so its only
-  // suspension point is the publication round-trip (host::offload inside
-  // call_retry_co's failover re-post loop). The blocking entry points run
-  // the same body inline through host::run_inline.
+  // Each operation has one body, its coroutine (docs/INTERLEAVING.md). Like
+  // every structure's, its only suspension point is the publication
+  // round-trip (host::offload inside call_retry_co's failover re-post loop).
+  // The blocking entry points run the same body inline through
+  // host::run_inline.
 
   bool read(Key key, Value& out, std::uint32_t tid) {
     return host::run_inline(read_co(key, &out, tid));
@@ -206,47 +199,6 @@ class NmpSkipList {
       if (base > cur) cur = base;
     }
     co_return filled;
-  }
-
-  /// Non-blocking variants (§3.5): returns an invalid handle when `tid`
-  /// already has all of its slots in flight on the target partition.
-  ///
-  /// The raw-handle API cannot express a cached hit (a handle implies a
-  /// publication round-trip), so reads bypass the value tier. Async writes
-  /// mark their slot and retrieve() conservatively bumps the partition's
-  /// cache generation, dropping every cached value and in-flight fill for
-  /// it — correct, if blunter than the keyed invalidation the blocking
-  /// path does.
-  nmp::OpHandle read_async(Key key, std::uint32_t tid) {
-    return set_.call_async(set_.partition_of(key), tid,
-                           make_request(nmp::OpCode::kRead, key, 0, 0));
-  }
-  nmp::OpHandle insert_async(Key key, Value value, std::uint32_t tid) {
-    const int h = random_height(*rngs_[tid], config_.total_height);
-    nmp::OpHandle hd = set_.call_async(set_.partition_of(key), tid,
-                                       make_request(nmp::OpCode::kInsert, key,
-                                                    value, h));
-    mark_async_write(hd);
-    return hd;
-  }
-  nmp::OpHandle remove_async(Key key, std::uint32_t tid) {
-    nmp::OpHandle hd = set_.call_async(set_.partition_of(key), tid,
-                                       make_request(nmp::OpCode::kRemove, key,
-                                                    0, 0));
-    mark_async_write(hd);
-    return hd;
-  }
-  bool poll(const nmp::OpHandle& h) { return set_.poll(h); }
-  nmp::Response retrieve(const nmp::OpHandle& h) {
-    nmp::Response r = set_.retrieve(h);
-    if (cache_ != nullptr) {
-      const std::size_t i = slot_flag_index(h);
-      if (r.failed_over || (r.ok && async_write_flags_[i] != 0)) {
-        cache_->bump_generation(h.partition);
-      }
-      async_write_flags_[i] = 0;
-    }
-    return r;
   }
 
   /// The underlying partition set (failover tests use it for
@@ -384,16 +336,6 @@ class NmpSkipList {
     return cache_ != nullptr ? cache_->generation(part) : 0;
   }
 
-  void mark_async_write(const nmp::OpHandle& h) {
-    if (cache_ != nullptr && h.valid) async_write_flags_[slot_flag_index(h)] = 1;
-  }
-
-  std::size_t slot_flag_index(const nmp::OpHandle& h) const {
-    return static_cast<std::size_t>(h.partition) * config_.max_threads *
-               (1 + config_.slots_per_thread) +
-           h.slot;
-  }
-
   static nmp::PartitionConfig make_partition_config(const Config& c) {
     nmp::PartitionConfig pc;
     pc.partitions = c.partitions;
@@ -422,7 +364,6 @@ class NmpSkipList {
   std::vector<std::unique_ptr<SeqSkipList>> lists_;
   std::vector<util::CacheAligned<util::Xoshiro256>> rngs_;
   std::unique_ptr<cache::HotCache> cache_;
-  std::vector<std::uint8_t> async_write_flags_;
 };
 
 }  // namespace hybrids::ds

@@ -1,4 +1,4 @@
-// Scheduler TU for the coroutine-interleaved host traversals
+// Scheduler TU for the coroutine-interleaved non-blocking operations
 // (host/interleave.hpp). Kept out of the header so the round-robin policy,
 // the futex-fallback path, and the telemetry registrations have exactly one
 // home.
@@ -19,7 +19,7 @@ telemetry::LatencyRecorder& depth_recorder() {
   return r;
 }
 
-telemetry::Counter& yields_counter() {
+telemetry::Counter& parks_counter() {
   static telemetry::Counter& c = telemetry::counter(tn::kInterleaveYields);
   return c;
 }
@@ -66,13 +66,6 @@ bool Frame::submit(std::coroutine_handle<> top) {
   return false;
 }
 
-void Frame::note_yield(std::coroutine_handle<> h) {
-  Slot& s = slots_[detail::active_frame().slot];
-  s.resume = h;
-  s.state = SlotState::kReady;
-  yields_counter().inc();
-}
-
 void Frame::note_wait(std::coroutine_handle<> h, nmp::PartitionSet* set,
                       nmp::OpHandle handle) {
   Slot& s = slots_[detail::active_frame().slot];
@@ -80,14 +73,14 @@ void Frame::note_wait(std::coroutine_handle<> h, nmp::PartitionSet* set,
   s.state = SlotState::kWaiting;
   s.set = set;
   s.wait = handle;
-  yields_counter().inc();
+  parks_counter().inc();
 }
 
 void Frame::resume_slot(std::uint32_t i) {
   Slot& s = slots_[i];
   std::coroutine_handle<> h = s.resume;
   s.resume = {};
-  s.state = SlotState::kReady;  // awaiters overwrite on suspension
+  s.state = SlotState::kReady;  // the awaiter overwrites on suspension
   s.set = nullptr;
 
   detail::ActiveFrame& active = detail::active_frame();

@@ -1,21 +1,20 @@
-// Coroutine-interleaved host traversals (docs/INTERLEAVING.md).
+// Non-blocking NMP calls as coroutines (§3.5; docs/INTERLEAVING.md).
 //
-// A host thread's leg of an operation alternates between two kinds of dead
-// time: LLC misses on pointer-chasing descents (skiplist towers, B+ inner
-// nodes) and the publication-slot round-trip to the partition's combiner.
-// The async ticket machinery (PartitionSet::call_async) only overlaps the
-// NMP side; this layer overlaps both by running k operations per host
-// thread as C++20 coroutines multiplexed on one stack:
+// The paper lets a host thread keep up to k operation IDs in flight so that
+// it is not idle while a partition's combiner serves its request. Here every
+// data-structure operation is one C++20 coroutine (`_co`), and a per-thread
+// `Frame` multiplexes up to k of them on one stack. An operation suspends in
+// exactly one place:
 //
-//   * `prefetch_and_yield(addr)` — issue a software prefetch for the next
-//     node and suspend, letting a sibling operation run while the line is
-//     in flight (the hpides tree_simulation / "Skiplists with Foresight"
-//     miss-hiding pattern).
 //   * `offload(set, p, tid, req)` — the publication round-trip of every
-//     hybrid operation: parks the traversal on its async slot
+//     hybrid operation: posts async and parks the op on its slot
 //     (`suspend_until_done`) so the frame resumes another in-flight op
-//     meanwhile, falling back to the runtime's existing bounded futex wait
+//     meanwhile, falling back to the runtime's bounded futex wait
 //     (NmpCore::wait_done_for) when every slot is parked.
+//
+// Host descents (FatSkipList::find, HybridBTree::traverse) are plain calls:
+// the host levels are sized to fit the LLC (§3.3/§3.4), so there is no miss
+// latency worth a context switch there; their prefetch hints stay.
 //
 // The scheduler is deliberately tiny: a `Frame` of up to kMaxSlots lazily
 // started `CoTask` coroutines, resumed round-robin, with no cross-thread
@@ -25,48 +24,25 @@
 //
 // Each data-structure operation has exactly one body, its `_co` coroutine.
 // The blocking entry points run that body through `run_inline`, which
-// clears the thread's active frame for the duration: with no frame every
-// awaiter short-circuits (prefetch-only yields, `offload` becomes the plain
-// blocking PartitionSet::call), so one resume() runs the whole operation.
+// clears the thread's active frame for the duration: with no frame
+// `offload` is the plain blocking PartitionSet::call, so one resume() runs
+// the whole operation.
 //
-// EBR interaction (mem/ebr.hpp): holding an EbrGuard across a
-// `prefetch_and_yield` suspension is safe — the sibling coroutines run on
-// the same thread and the guard is reentrant, so the epoch merely stays
-// pinned a little longer. The data-structure `_co` ops close their guards
-// before posting, so a coroutine parked in `suspend_until_done` never holds
-// a pin; when the frame drains to parked-only ops (the only state that
-// blocks in a futex), no guard is live. See docs/INTERLEAVING.md.
+// EBR interaction (mem/ebr.hpp): the data-structure `_co` ops close their
+// guards before posting, so a coroutine parked in `suspend_until_done` never
+// holds a pin, and the futex fallback (the only state that blocks) runs with
+// no guard live. See docs/INTERLEAVING.md.
 #pragma once
 
-#include <atomic>
 #include <cassert>
 #include <coroutine>
-#include <cstddef>
 #include <cstdint>
 #include <exception>
 #include <utility>
 
-#include "hybrids/mem/memlayer.hpp"
 #include "hybrids/nmp/partition_set.hpp"
 
 namespace hybrids::host {
-
-/// Process-wide default frame depth (number of coroutine slots a
-/// default-constructed Frame gets). Same runtime-toggle idiom as the memory
-/// layer's prefetch/arena switches: relaxed atomic, consulted at Frame
-/// construction, never mid-run.
-inline std::atomic<std::uint32_t>& interleave_depth_flag() noexcept {
-  static std::atomic<std::uint32_t> depth{4};
-  return depth;
-}
-
-inline std::uint32_t interleave_depth() noexcept {
-  return interleave_depth_flag().load(std::memory_order_relaxed);
-}
-
-inline void set_interleave_depth(std::uint32_t k) noexcept {
-  interleave_depth_flag().store(k == 0 ? 1 : k, std::memory_order_relaxed);
-}
 
 namespace detail {
 
@@ -74,7 +50,7 @@ namespace detail {
 /// simulator's sim::Task (sim/core/task.hpp) — lazy start, symmetric
 /// transfer to the stored continuation on completion — except that
 /// exceptions are captured and rethrown at the awaiter/collection point
-/// instead of terminating: a host traversal that throws must unwind its
+/// instead of terminating: a host operation that throws must unwind its
 /// frame slot, not the process (the sim has no exceptions to propagate).
 struct CoPromiseBase {
   std::coroutine_handle<> continuation;
@@ -101,8 +77,7 @@ struct CoPromiseBase {
 
 /// A lazily-started host coroutine. Move-only owner of the coroutine frame;
 /// awaitable from another CoTask (symmetric transfer, no scheduler round
-/// trip for nested descents like FatSkipList::find_co inside
-/// HybridSkipList::read_co). The top-level owner submits `handle()` to a
+/// trip for nested calls like host::offload inside HybridSkipList::read_co). The top-level owner submits `handle()` to a
 /// Frame and reads `result()` once `done()`.
 template <typename T = void>
 class [[nodiscard]] CoTask {
@@ -227,9 +202,8 @@ class Frame {
  public:
   static constexpr std::uint32_t kMaxSlots = 16;
 
-  /// `slots` is clamped to [1, kMaxSlots]; defaults to the process-wide
-  /// depth knob.
-  explicit Frame(std::uint32_t slots = interleave_depth());
+  /// `slots` is clamped to [1, kMaxSlots].
+  explicit Frame(std::uint32_t slots);
   ~Frame();
 
   Frame(const Frame&) = delete;
@@ -257,8 +231,7 @@ class Frame {
     }
   }
 
-  // -- awaiter hooks (called with this frame active on this thread) --
-  void note_yield(std::coroutine_handle<> h);
+  // -- awaiter hook (called with this frame active on this thread) --
   void note_wait(std::coroutine_handle<> h, nmp::PartitionSet* set,
                  nmp::OpHandle handle);
 
@@ -297,35 +270,6 @@ inline ActiveFrame& active_frame() noexcept {
 }
 
 }  // namespace detail
-
-/// Awaitable: issue a software prefetch for `addr` (`bytes` ≤ 64 uses a
-/// single-line hint, larger objects prefetch every line) and yield to a
-/// sibling operation while the line(s) travel. Degrades to prefetch-only —
-/// no suspension — when no Frame is driving this thread or when this is the
-/// frame's only in-flight op (nothing to overlap with).
-struct PrefetchAndYield {
-  const void* addr;
-  std::size_t bytes;
-
-  bool await_ready() const noexcept {
-    if (bytes <= 64) {
-      mem::prefetch_read(addr);
-    } else {
-      mem::prefetch_object(addr, bytes);
-    }
-    const detail::ActiveFrame& a = detail::active_frame();
-    return a.frame == nullptr || a.frame->inflight() <= 1;
-  }
-  void await_suspend(std::coroutine_handle<> h) noexcept {
-    detail::active_frame().frame->note_yield(h);
-  }
-  void await_resume() const noexcept {}
-};
-
-inline PrefetchAndYield prefetch_and_yield(const void* addr,
-                                           std::size_t bytes = 64) noexcept {
-  return {addr, bytes};
-}
 
 /// Awaitable: park this operation until the async publication slot behind
 /// `handle` reaches kDone, resuming sibling operations meanwhile. Degrades

@@ -14,7 +14,7 @@
 // The integration half drives all three wired structures against std::map
 // oracles with the cache deliberately tiny (eviction churn on every run):
 // a cached read that ever disagrees with the oracle — after updates,
-// removes, async writes, EBR reclaim cycles, or (with HYBRIDS_FAULTS) a
+// removes, non-blocking writes, EBR reclaim cycles, or (with HYBRIDS_FAULTS) a
 // bounced partition — fails exactly, not statistically.
 #include <gtest/gtest.h>
 
@@ -28,6 +28,8 @@
 #include "hybrids/ds/hybrid_btree.hpp"
 #include "hybrids/ds/hybrid_skiplist.hpp"
 #include "hybrids/ds/nmp_skiplist.hpp"
+#include "hybrids/host/interleave.hpp"
+#include "hybrids/telemetry/registry.hpp"
 #include "hybrids/types.hpp"
 #include "hybrids/util/rng.hpp"
 
@@ -37,7 +39,9 @@
 
 namespace hc = hybrids::cache;
 namespace hd = hybrids::ds;
+namespace hh = hybrids::host;
 namespace hu = hybrids::util;
+namespace tel = hybrids::telemetry;
 
 using hybrids::Key;
 using hybrids::Value;
@@ -297,18 +301,34 @@ TEST(CacheNmpSkipList, AsyncWriteInvalidatesCachedValue) {
   EXPECT_GT(list.hot_cache()->stats().value_hits, 0u)
       << "second read did not hit — fill path broken, test would be vacuous";
 
-  // Async remove: the ack path must bump the partition generation so the
-  // cached value stops hitting even though no synchronous invalidate ran.
-  hybrids::nmp::OpHandle h = list.remove_async(100, 0);
-  ASSERT_TRUE(h.valid);
-  ASSERT_TRUE(list.retrieve(h).ok);
+  // Non-blocking remove, parked on its publication slot beside a sibling
+  // insert: its completion must invalidate the cached value before the op
+  // returns, so the next read misses.
+  {
+    hh::Frame frame(2);
+    hh::CoTask<bool> rm = list.remove_co(100, 0);
+    hh::CoTask<bool> other = list.insert_co(300, 3, 0);
+    ASSERT_TRUE(frame.submit(rm.handle()));
+    ASSERT_TRUE(frame.submit(other.handle()));
+    frame.drain();
+    ASSERT_TRUE(rm.result());
+    ASSERT_TRUE(other.result());
+  }
   EXPECT_FALSE(list.read(100, v, 0))
-      << "read served a value the async remove already deleted";
+      << "read served a value the non-blocking remove already deleted";
 
-  // Async insert of a fresh key: subsequent reads see it (and may re-cache).
-  h = list.insert_async(100, 2, 0);
-  ASSERT_TRUE(h.valid);
-  ASSERT_TRUE(list.retrieve(h).ok);
+  // Non-blocking insert of a fresh key: subsequent reads see it (and may
+  // re-cache).
+  {
+    hh::Frame frame(2);
+    hh::CoTask<bool> ins = list.insert_co(100, 2, 0);
+    hh::CoTask<bool> other = list.remove_co(300, 0);
+    ASSERT_TRUE(frame.submit(ins.handle()));
+    ASSERT_TRUE(frame.submit(other.handle()));
+    frame.drain();
+    ASSERT_TRUE(ins.result());
+    ASSERT_TRUE(other.result());
+  }
   ASSERT_TRUE(list.read(100, v, 0));
   EXPECT_EQ(v, 2u);
   ASSERT_TRUE(list.read(100, v, 0));
@@ -486,7 +506,7 @@ TEST(CacheHybridBTree, MixedChurnOracleExact) {
   EXPECT_LE(tree.hot_cache()->capacity_bytes(), 4u * 1024u);
 }
 
-TEST(CacheHybridBTree, TicketServesCachedReadWithoutRoundTrip) {
+TEST(CacheHybridBTree, CoReadServesCachedValueWithoutRoundTrip) {
   std::vector<Key> keys;
   std::vector<Value> vals;
   std::map<Key, Value> oracle;
@@ -498,21 +518,31 @@ TEST(CacheHybridBTree, TicketServesCachedReadWithoutRoundTrip) {
   Value v = 0;
   ASSERT_TRUE(tree.read(hot, v, 0));  // fills the value tier
   const std::uint64_t hits_before = tree.hot_cache()->stats().value_hits;
+  tel::Counter& posted = tel::counter(tel::names::kCallAsync);
+  const std::uint64_t posted_before = posted.value();
 
-  // The non-blocking ticket must serve the hot key from the cache (kDone:
-  // no publication round-trip) and return the oracle value.
-  hd::HybridBTree::Ticket t = tree.read_async(hot, 0);
-  EXPECT_TRUE(tree.poll(t));
+  // A hot read_co in a frame must be served from the cache on its first
+  // resume: no publication slot posted, oracle value returned.
+  hh::Frame frame(2);
   Value out = 0;
-  ASSERT_TRUE(tree.finish(t, &out));
+  hh::CoTask<bool> t = tree.read_co(hot, &out, 0);
+  ASSERT_TRUE(frame.submit(t.handle()));
+  ASSERT_TRUE(frame.step());
+  ASSERT_TRUE(t.done());
+  EXPECT_TRUE(frame.empty());
+  ASSERT_TRUE(t.result());
   EXPECT_EQ(out, oracle[hot]);
+  EXPECT_EQ(posted.value(), posted_before);
   EXPECT_GT(tree.hot_cache()->stats().value_hits, hits_before);
 
-  // A write then makes the next ticket read the fresh value, not the cache.
+  // A write then makes the next read_co return the fresh value, not the
+  // cache.
   ASSERT_TRUE(tree.update(hot, 4242, 0));
-  hd::HybridBTree::Ticket t2 = tree.read_async(hot, 0);
   Value out2 = 0;
-  ASSERT_TRUE(tree.finish(t2, &out2));
+  hh::CoTask<bool> t2 = tree.read_co(hot, &out2, 0);
+  ASSERT_TRUE(frame.submit(t2.handle()));
+  frame.drain();
+  ASSERT_TRUE(t2.result());
   EXPECT_EQ(out2, 4242u);
 }
 

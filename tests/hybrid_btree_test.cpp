@@ -11,9 +11,11 @@
 
 #include "hybrids/ds/hybrid_btree.hpp"
 #include "hybrids/ds/nmp_btree.hpp"
+#include "hybrids/host/interleave.hpp"
 #include "hybrids/util/rng.hpp"
 
 namespace hd = hybrids::ds;
+namespace hh = hybrids::host;
 namespace hu = hybrids::util;
 using hybrids::Key;
 using hybrids::Value;
@@ -377,36 +379,39 @@ TEST(HybridBTree, ConcurrentMixedWorkload) {
   EXPECT_GE(tree.size(), keys.size());
 }
 
-TEST(HybridBTree, NonBlockingTicketsCompleteCorrectly) {
+TEST(HybridBTree, NonBlockingCoOpsCompleteCorrectly) {
   auto keys = even_keys(3000);
   auto vals = values_for(keys);
   hd::HybridBTree tree(config(), keys, vals);
-  std::vector<hd::HybridBTree::Ticket> pending;
-  auto drain_one = [&] {
-    ASSERT_FALSE(pending.empty());
-    (void)tree.finish(pending.front());
-    pending.erase(pending.begin());
-  };
-  const Key base = keys.back() + 2;
-  for (int i = 0; i < 500; ++i) {
-    auto t = tree.insert_async(base + static_cast<Key>(i), 1, 0);
-    while (t.state == hd::HybridBTree::Ticket::State::kRejected) {
-      drain_one();
-      t = tree.insert_async(base + static_cast<Key>(i), 1, 0);
+  // Runs `ops` through one depth-4 Frame, submitting each as a slot frees
+  // up: up to four calls in flight on this thread.
+  auto pipeline = [](std::vector<hh::CoTask<bool>>& ops) {
+    hh::Frame frame(4);
+    for (auto& op : ops) {
+      while (!frame.submit(op.handle())) frame.step();
     }
-    pending.push_back(t);
+    frame.drain();
+  };
+  // Ascending tail inserts: some escalate through LOCK_PATH, whose blocking
+  // host half runs inside the frame.
+  const Key base = keys.back() + 2;
+  std::vector<hh::CoTask<bool>> ops;
+  for (int i = 0; i < 500; ++i) {
+    ops.push_back(tree.insert_co(base + static_cast<Key>(i), 1, 0));
   }
-  while (!pending.empty()) drain_one();
+  pipeline(ops);
+  for (auto& op : ops) EXPECT_TRUE(op.result());
   EXPECT_EQ(tree.size(), keys.size() + 500);
   EXPECT_TRUE(tree.validate());
-  // Async reads see all inserted keys.
+  // Non-blocking reads see all inserted keys.
+  std::vector<Value> values(500, 0);
+  ops.clear();
   for (int i = 0; i < 500; ++i) {
-    auto t = tree.read_async(base + static_cast<Key>(i), 0);
-    while (t.state == hd::HybridBTree::Ticket::State::kRejected) {
-      t = tree.read_async(base + static_cast<Key>(i), 0);
-    }
-    Value v = 0;
-    EXPECT_TRUE(tree.finish(t, &v));
-    EXPECT_EQ(v, 1u);
+    ops.push_back(tree.read_co(base + static_cast<Key>(i), &values[i], 0));
+  }
+  pipeline(ops);
+  for (int i = 0; i < 500; ++i) {
+    EXPECT_TRUE(ops[i].result());
+    EXPECT_EQ(values[i], 1u);
   }
 }

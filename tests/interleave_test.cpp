@@ -1,10 +1,10 @@
-// Coroutine-interleaved host traversals (host/interleave.hpp +
-// docs/INTERLEAVING.md): awaiter resume-exactly-once, frame drain on
-// exception and on NMP-requested retries, suspension across a publication
-// wait with a stalled combiner, oracle-exact interleaved runs at depth 8
-// (the configuration the TSan CI job hammers), and the inline runs behind
-// the blocking entry points: no suspension into an enclosing frame, no
-// async publication slots.
+// Coroutine-interleaved non-blocking operations (host/interleave.hpp +
+// docs/INTERLEAVING.md): resume-exactly-once across publication-slot parks,
+// frame drain on exception and on NMP-requested retries, suspension across a
+// publication wait with a stalled combiner, oracle-exact interleaved runs at
+// depth 8 (the configuration the TSan CI job hammers), _co ops across a
+// partition failover, and the inline runs behind the blocking entry points:
+// no suspension into an enclosing frame, no async publication slots.
 #include <gtest/gtest.h>
 
 #include "hybrids/host/interleave.hpp"
@@ -44,15 +44,52 @@ hn::PartitionSet make_set(std::uint32_t partitions, std::uint32_t threads,
   return hn::PartitionSet(cfg);
 }
 
-// A coroutine that yields `yields` times and counts its execution segments:
-// exactly-once resume semantics mean segments == yields + 1 when a Frame
-// drives it with a sibling present, and == 1 when every yield short-circuits
-// (no frame / lone op).
-hh::CoTask<int> yielding_op(int yields, int* segments) {
+// A one-partition set whose combiner echoes each request's key once `gate`
+// is open: the generic suspension point of these tests. host::offload parks
+// an op on it exactly as on a data-structure round trip, and a closed gate
+// keeps every posted op parked until the test opens it.
+class EchoSet {
+ public:
+  explicit EchoSet(bool open = true) : set_(make_set(1, 1, 4)), gate_(open) {
+    set_.set_handler(0, [this](const hn::Request& rq, hn::Response& rs) {
+      while (!gate_.load(std::memory_order_acquire)) {
+        std::this_thread::sleep_for(std::chrono::microseconds(50));
+      }
+      rs.ok = true;
+      rs.value = static_cast<Value>(rq.key);
+    });
+    set_.start();
+  }
+  ~EchoSet() {
+    open();
+    set_.stop();
+  }
+
+  void open() { gate_.store(true, std::memory_order_release); }
+  hn::PartitionSet& set() { return set_; }
+
+ private:
+  hn::PartitionSet set_;
+  std::atomic<bool> gate_;
+};
+
+// One publication round trip through host::offload; returns the echoed key.
+hh::CoTask<Value> echo(hn::PartitionSet* set, Key key) {
+  hn::Request r;
+  r.op = hn::OpCode::kUpdate;
+  r.key = key;
+  const hn::Response resp = co_await hh::offload(*set, 0, 0, r);
+  co_return resp.value;
+}
+
+// A coroutine that makes `parks` round trips and counts its execution
+// segments: exactly-once resume semantics mean segments == parks + 1 however
+// often the frame actually parks it (a round trip that completes before its
+// poll, or an op left alone in its frame, runs straight through).
+hh::CoTask<int> parking_op(hn::PartitionSet* set, int parks, int* segments) {
   ++*segments;
-  for (int i = 0; i < yields; ++i) {
-    int dummy = 0;
-    co_await hh::prefetch_and_yield(&dummy);
+  for (int i = 0; i < parks; ++i) {
+    (void)co_await echo(set, static_cast<Key>(i));
     ++*segments;
   }
   co_return *segments;
@@ -60,19 +97,18 @@ hh::CoTask<int> yielding_op(int yields, int* segments) {
 
 hh::CoTask<int> doubling_child(int v) { co_return v * 2; }
 
-hh::CoTask<int> awaits_child(int v) {
-  // Nested awaits run inline via symmetric transfer; a yield inside the
-  // child suspends the whole chain and resumes it exactly where it left off.
+hh::CoTask<int> awaits_child(hn::PartitionSet* set, int v) {
+  // Nested awaits run inline via symmetric transfer; a park inside a nested
+  // round trip suspends the whole chain and resumes it exactly where it
+  // left off.
   int doubled = co_await doubling_child(v);
-  int dummy = 0;
-  co_await hh::prefetch_and_yield(&dummy);
-  co_return doubled + 1;
+  const Value echoed = co_await echo(set, static_cast<Key>(v));
+  co_return echoed == static_cast<Value>(v) ? doubled + 1 : -1;
 }
 
-hh::CoTask<int> throwing_op(int yields) {
-  for (int i = 0; i < yields; ++i) {
-    int dummy = 0;
-    co_await hh::prefetch_and_yield(&dummy);
+hh::CoTask<int> throwing_op(hn::PartitionSet* set, int parks) {
+  for (int i = 0; i < parks; ++i) {
+    (void)co_await echo(set, static_cast<Key>(i));
   }
   throw std::runtime_error("traversal failed");
 }
@@ -80,73 +116,71 @@ hh::CoTask<int> throwing_op(int yields) {
 }  // namespace
 
 TEST(InterleaveKnob, DepthRoundTripAndClamp) {
-  const std::uint32_t before = hh::interleave_depth();
-  hh::set_interleave_depth(8);
-  EXPECT_EQ(hh::interleave_depth(), 8u);
-  hh::set_interleave_depth(0);  // 0 would mean "no slots": clamps to 1
-  EXPECT_EQ(hh::interleave_depth(), 1u);
-  hh::set_interleave_depth(before);
-
-  hh::Frame tiny(0);
+  hh::Frame tiny(0);  // 0 would mean "no slots": clamps to 1
   EXPECT_EQ(tiny.capacity(), 1u);
   hh::Frame huge(1000);
   EXPECT_EQ(huge.capacity(), hh::Frame::kMaxSlots);
+  hh::Frame eight(8);
+  EXPECT_EQ(eight.capacity(), 8u);
 }
 
-TEST(InterleaveFrame, ResumesEachYieldExactlyOnce) {
-  const std::uint64_t yields_before =
+TEST(InterleaveFrame, ResumesEachParkExactlyOnce) {
+  EchoSet echo_set(/*open=*/false);
+  const std::uint64_t parks_before =
       tel::counter(tel::names::kInterleaveYields).value();
   hh::Frame frame(2);
   int seg_a = 0, seg_b = 0;
-  hh::CoTask<int> a = yielding_op(3, &seg_a);
-  hh::CoTask<int> b = yielding_op(5, &seg_b);
+  hh::CoTask<int> a = parking_op(&echo_set.set(), 3, &seg_a);
+  hh::CoTask<int> b = parking_op(&echo_set.set(), 5, &seg_b);
   ASSERT_TRUE(frame.submit(a.handle()));
   ASSERT_TRUE(frame.submit(b.handle()));
+  // Behind the closed gate each op's first round trip cannot complete, so
+  // one step per op posts it and parks it on its slot.
+  frame.step();
+  frame.step();
+  EXPECT_FALSE(a.done());
+  EXPECT_FALSE(b.done());
+  EXPECT_EQ(frame.inflight(), 2u);
+  if (tel::kEnabled) {
+    EXPECT_EQ(tel::counter(tel::names::kInterleaveYields).value(),
+              parks_before + 2);
+  }
+  echo_set.open();
   frame.drain();
   ASSERT_TRUE(a.done());
   ASSERT_TRUE(b.done());
-  // Each coroutine ran every segment exactly once: yields+1 segments, no
-  // double-resume, no lost wakeup. (The op left alone after its sibling
-  // finishes stops suspending — inflight()<=1 short-circuits — but its
-  // segment count is unaffected.)
+  // Each coroutine ran every segment exactly once: parks+1 segments, no
+  // double-resume, no lost wakeup.
   EXPECT_EQ(a.result(), 4);
   EXPECT_EQ(b.result(), 6);
   EXPECT_EQ(seg_a, 4);
   EXPECT_EQ(seg_b, 6);
   EXPECT_TRUE(frame.empty());
-  if (tel::kEnabled) {
-    EXPECT_GT(tel::counter(tel::names::kInterleaveYields).value(),
-              yields_before);
-  }
 }
 
-TEST(InterleaveFrame, YieldOutsideFrameRunsStraightThrough) {
-  // No Frame driving: prefetch_and_yield degrades to prefetch-only and the
-  // coroutine runs to completion on the first resume.
-  int segments = 0;
-  hh::CoTask<int> t = yielding_op(4, &segments);
-  t.handle().resume();
-  ASSERT_TRUE(t.done());
-  EXPECT_EQ(t.result(), 5);
-  EXPECT_EQ(segments, 5);
-}
-
-TEST(InterleaveFrame, NestedTaskPropagatesThroughYields) {
+TEST(InterleaveFrame, NestedTaskPropagatesThroughParks) {
+  EchoSet echo_set(/*open=*/false);
   hh::Frame frame(2);
-  hh::CoTask<int> x = awaits_child(10);
-  hh::CoTask<int> y = awaits_child(20);
+  hh::CoTask<int> x = awaits_child(&echo_set.set(), 10);
+  hh::CoTask<int> y = awaits_child(&echo_set.set(), 20);
   ASSERT_TRUE(frame.submit(x.handle()));
   ASSERT_TRUE(frame.submit(y.handle()));
+  frame.step();
+  frame.step();
+  EXPECT_FALSE(x.done());  // parked inside the nested round trip
+  EXPECT_FALSE(y.done());
+  echo_set.open();
   frame.drain();
   EXPECT_EQ(x.result(), 21);
   EXPECT_EQ(y.result(), 41);
 }
 
 TEST(InterleaveFrame, DrainsOnExceptionAndSiblingSurvives) {
+  EchoSet echo_set;
   hh::Frame frame(2);
   int segments = 0;
-  hh::CoTask<int> ok = yielding_op(4, &segments);
-  hh::CoTask<int> bad = throwing_op(2);
+  hh::CoTask<int> ok = parking_op(&echo_set.set(), 4, &segments);
+  hh::CoTask<int> bad = throwing_op(&echo_set.set(), 2);
   ASSERT_TRUE(frame.submit(ok.handle()));
   ASSERT_TRUE(frame.submit(bad.handle()));
   frame.drain();  // must terminate: the exception empties bad's slot
@@ -158,10 +192,11 @@ TEST(InterleaveFrame, DrainsOnExceptionAndSiblingSurvives) {
 }
 
 TEST(InterleaveFrame, SubmitRejectsWhenFull) {
+  EchoSet echo_set;
   hh::Frame frame(1);
   int seg = 0;
-  hh::CoTask<int> a = yielding_op(0, &seg);
-  hh::CoTask<int> b = yielding_op(0, &seg);
+  hh::CoTask<int> a = parking_op(&echo_set.set(), 0, &seg);
+  hh::CoTask<int> b = parking_op(&echo_set.set(), 0, &seg);
   ASSERT_TRUE(frame.submit(a.handle()));
   EXPECT_FALSE(frame.has_capacity());
   EXPECT_FALSE(frame.submit(b.handle()));
@@ -213,12 +248,14 @@ TEST(InterleavePublication, RetryLoopDrainsInsideFrame) {
     hh::Frame frame(2);
     int attempts = 0, segments = 0;
     hh::CoTask<int> op = retrying_op(&set, 0, 41, &attempts);
-    hh::CoTask<int> sibling = yielding_op(2, &segments);
+    // The sibling's round trips are updates, which the handler never denies.
+    hh::CoTask<int> sibling = parking_op(&set, 2, &segments);
     ASSERT_TRUE(frame.submit(op.handle()));
     ASSERT_TRUE(frame.submit(sibling.handle()));
     frame.drain();
     EXPECT_EQ(op.result(), 42);
     EXPECT_EQ(attempts, 3);  // two retries + success, all inside one slot
+    EXPECT_EQ(sibling.result(), 3);
     EXPECT_TRUE(frame.empty());
   }
   set.stop();
@@ -512,7 +549,7 @@ TEST(InterleaveNmpSkipList, CoOpsRoundTrip) {
 
 // The TSan CI target: four threads, disjoint key ranges, depth-8 frames.
 // Distinct keys within each round keep every thread's std::map oracle exact
-// while the frame interleaves descents and publication waits; cross-thread
+// while the frame interleaves ops across their publication waits; cross-thread
 // races (combiner slots, EBR epochs, node pool shards) are TSan's job.
 TEST(InterleaveChaos, OracleExactAtDepth8FourThreads) {
   constexpr std::uint32_t kThreads = 4;
@@ -603,19 +640,179 @@ TEST(InterleaveChaos, OracleExactAtDepth8FourThreads) {
   for (auto& w : workers) w.join();
 }
 
+// ---------- _co ops across a partition failover ----------
+
+namespace {
+
+// One op of a mixed round: `kind` 0..3 = read/insert/remove/update.
+template <typename DS>
+hh::CoTask<bool> mixed_op(DS& ds, int kind, Key k, Value* read_out) {
+  switch (kind) {
+    case 0:
+      return ds.read_co(k, read_out, 0);
+    case 1:
+      return ds.insert_co(k, k + 5, 0);
+    case 2:
+      return ds.remove_co(k, 0);
+    default:
+      return ds.update_co(k, k + 11, 0);
+  }
+}
+
+void apply_to_oracle(std::map<Key, Value>& oracle, int kind, Key k, bool ok,
+                     Value read) {
+  const auto it = oracle.find(k);
+  switch (kind) {
+    case 0:
+      EXPECT_EQ(ok, it != oracle.end()) << "read key " << k;
+      if (it != oracle.end()) { EXPECT_EQ(read, it->second) << "key " << k; }
+      break;
+    case 1:
+      EXPECT_EQ(ok, it == oracle.end()) << "insert key " << k;
+      if (ok) oracle[k] = k + 5;
+      break;
+    case 2:
+      EXPECT_EQ(ok, it != oracle.end()) << "remove key " << k;
+      if (ok) oracle.erase(k);
+      break;
+    default:
+      EXPECT_EQ(ok, it != oracle.end()) << "update key " << k;
+      if (ok) oracle[k] = k + 11;
+      break;
+  }
+}
+
+std::uint64_t total_failovers(hn::PartitionSet& set) {
+  std::uint64_t n = 0;
+  for (std::uint32_t p = 0; p < set.partitions(); ++p) n += set.failovers(p);
+  return n;
+}
+
+}  // namespace
+
+// A fenced lane rejects call_async (and, under kHostLease, so does a leased
+// one), so host::offload falls back to the blocking call inside a frame
+// while its siblings stay parked; a bounce mid-flight comes back
+// failed_over and the op's retry loop re-posts. Each round runs two
+// HybridSkipList and two HybridBTree _co ops (distinct keys) in one
+// Frame(4) while trigger_failover fences partitions of both structures; the
+// std::map oracles stay exact and every frame drains.
+TEST(InterleaveFailover, CoOpsStayExactAcrossFailover) {
+  for (const hn::FailoverPolicy policy :
+       {hn::FailoverPolicy::kRespawn, hn::FailoverPolicy::kHostLease}) {
+    SCOPED_TRACE(policy == hn::FailoverPolicy::kRespawn ? "kRespawn"
+                                                         : "kHostLease");
+    hd::HybridSkipList::Config lcfg;
+    lcfg.total_height = 8;
+    lcfg.nmp_height = 4;
+    lcfg.partitions = 4;
+    lcfg.partition_width = 64;
+    lcfg.max_threads = 1;
+    lcfg.slots_per_thread = 4;
+    lcfg.watchdog_interval_ms = 2;
+    lcfg.watchdog_misses_to_degrade = 2;
+    lcfg.watchdog_misses_to_recover = 2;
+    lcfg.failover = policy;
+    hd::HybridSkipList list(lcfg);
+
+    std::vector<Key> keys;
+    std::vector<Value> vals;
+    std::map<Key, Value> tree_oracle;
+    for (Key k = 0; k < 1024; k += 2) {
+      keys.push_back(k);
+      vals.push_back(k * 7);
+      tree_oracle[k] = k * 7;
+    }
+    hd::HybridBTree::Config tcfg;
+    tcfg.nmp_levels = 2;
+    tcfg.partitions = 4;
+    tcfg.max_threads = 1;
+    tcfg.slots_per_thread = 4;
+    tcfg.watchdog_interval_ms = 2;
+    tcfg.watchdog_misses_to_degrade = 2;
+    tcfg.watchdog_misses_to_recover = 2;
+    tcfg.failover = policy;
+    hd::HybridBTree tree(tcfg, keys, vals);
+    std::map<Key, Value> list_oracle;
+
+    hybrids::util::Xoshiro256 rng(policy == hn::FailoverPolicy::kRespawn ? 23
+                                                                          : 29);
+    tel::Counter& rejected = tel::counter(tel::names::kAsyncRejected);
+    const std::uint64_t rejected0 = rejected.value();
+    hh::Frame frame(4);
+    constexpr int kKills = 6;
+    for (int kill = 0; kill < kKills; ++kill) {
+      hn::PartitionSet& target =
+          kill % 2 == 0 ? list.partition_set() : tree.partition_set();
+      const std::uint64_t failovers0 = total_failovers(target);
+      target.trigger_failover(static_cast<std::uint32_t>(kill) % 4);
+      // Keep the frame busy until the watchdog has fenced the lane, then for
+      // a few more rounds while it recovers.
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(5);
+      int rounds_after = 0;
+      while (rounds_after < 20 && std::chrono::steady_clock::now() < deadline) {
+        if (total_failovers(target) > failovers0) ++rounds_after;
+        const std::uint64_t choice = rng.next();
+        // Two distinct skiplist keys and two distinct tree keys per round.
+        const Key lbase = static_cast<Key>(rng.next() % 128) * 2;
+        const Key tbase = static_cast<Key>(rng.next() % 600) * 2;
+        const Key ks[4] = {lbase, lbase + 1, tbase, tbase + 1};
+        int kinds[4];
+        Value reads[4] = {};
+        std::vector<hh::CoTask<bool>> tasks;
+        for (int i = 0; i < 4; ++i) {
+          kinds[i] = static_cast<int>((choice >> (i * 2)) & 3);
+          tasks.push_back(i < 2 ? mixed_op(list, kinds[i], ks[i], &reads[i])
+                                : mixed_op(tree, kinds[i], ks[i], &reads[i]));
+        }
+        drain_round(frame, tasks);
+        ASSERT_TRUE(frame.empty());
+        for (int i = 0; i < 4; ++i) {
+          apply_to_oracle(i < 2 ? list_oracle : tree_oracle, kinds[i], ks[i],
+                          tasks[i].result(), reads[i]);
+        }
+      }
+      EXPECT_GT(total_failovers(target), failovers0)
+          << "kill " << kill << " never fenced its partition";
+    }
+
+    if (tel::kEnabled && policy == hn::FailoverPolicy::kHostLease) {
+      // A leased lane stays leased for several watchdog intervals, so some
+      // of the frame's posts met it and took the blocking fallback.
+      EXPECT_GT(rejected.value(), rejected0);
+    }
+
+    for (const auto& [k, v] : list_oracle) {
+      Value out = 0;
+      ASSERT_TRUE(list.read(k, out, 0)) << "skiplist key " << k;
+      EXPECT_EQ(out, v);
+    }
+    for (const auto& [k, v] : tree_oracle) {
+      Value out = 0;
+      ASSERT_TRUE(tree.read(k, out, 0)) << "tree key " << k;
+      EXPECT_EQ(out, v);
+    }
+    EXPECT_EQ(list.size(), list_oracle.size());
+    EXPECT_EQ(tree.size(), tree_oracle.size());
+    EXPECT_TRUE(list.validate());
+    EXPECT_TRUE(tree.validate());
+  }
+}
+
 // ---------- blocking entry points: the _co bodies run inline ----------
 
 namespace {
 
 // What a blocking call made from inside a frame-driven coroutine must leave
 // exactly as it found it: the thread's active frame/slot, the frame's
-// in-flight count, and — since note_yield/note_wait are the only writers of
-// a suspended slot's state and both count a yield — the yield counter.
+// in-flight count, and — since note_wait is the only writer of a suspended
+// slot's state and counts every park — the park counter.
 struct FrameView {
   hh::Frame* frame;
   std::uint32_t slot;
   std::uint32_t inflight;
-  std::uint64_t yields;
+  std::uint64_t parks;
 };
 
 FrameView view_active_frame() {
@@ -630,7 +827,7 @@ void expect_same_frame(const FrameView& before, const FrameView& after) {
   EXPECT_EQ(after.slot, before.slot);
   EXPECT_EQ(after.inflight, before.inflight);
   if (tel::kEnabled) {
-    EXPECT_EQ(after.yields, before.yields);
+    EXPECT_EQ(after.parks, before.parks);
   }
 }
 
@@ -641,11 +838,11 @@ struct BlockingResult {
 };
 
 // Blocking insert + read of `key` from inside a Frame slot, once before this
-// op's first yield (siblings queued) and once after it (siblings mid-descent
-// or parked on publication slots).
+// op's own round trip on `park` (siblings queued) and once after it
+// (siblings parked on publication slots or done).
 template <typename DS>
-hh::CoTask<void> blocking_inside_frame(DS* ds, Key k1, Key k2, Value v,
-                                       BlockingResult* r1,
+hh::CoTask<void> blocking_inside_frame(DS* ds, hn::PartitionSet* park, Key k1,
+                                       Key k2, Value v, BlockingResult* r1,
                                        BlockingResult* r2) {
   FrameView before = view_active_frame();
   EXPECT_GT(before.inflight, 1u) << "no sibling in flight";
@@ -653,8 +850,7 @@ hh::CoTask<void> blocking_inside_frame(DS* ds, Key k1, Key k2, Value v,
   r1->found = ds->read(k1, r1->value, 0);
   expect_same_frame(before, view_active_frame());
 
-  int dummy = 0;
-  co_await hh::prefetch_and_yield(&dummy);
+  (void)co_await echo(park, k1);
 
   before = view_active_frame();
   r2->inserted = ds->insert(k2, v, 0);
@@ -672,15 +868,19 @@ void check_blocking(std::map<Key, Value>& oracle, Key key, Value v,
 
 // One slot runs blocking_inside_frame while the other seven run _co ops of
 // random kinds; all nine keys of a round are distinct, so the std::map
-// oracle stays exact whatever order the frame completes them in.
+// oracle stays exact whatever order the frame completes them in. Each round
+// gets a fresh frame: blocking_inside_frame takes its first slot and, with
+// the round-robin cursor at that slot, runs first, while all seven
+// siblings are still queued.
 template <typename DS>
 void blocking_ops_inside_depth8_frame(DS& ds, std::map<Key, Value>& oracle,
                                       Key key_space, std::uint64_t seed) {
   constexpr std::uint32_t kDepth = 8;
   constexpr Key kStride = kDepth + 1;  // two blocking keys + seven siblings
   hybrids::util::Xoshiro256 rng(seed);
-  hh::Frame frame(kDepth);
+  EchoSet echo_set;
   for (int round = 0; round < 60; ++round) {
+    hh::Frame frame(kDepth);
     Key keys[kStride];
     const Key base = static_cast<Key>(rng.next() % (key_space / kStride)) *
                      kStride;
@@ -689,62 +889,29 @@ void blocking_ops_inside_depth8_frame(DS& ds, std::map<Key, Value>& oracle,
 
     BlockingResult r1, r2;
     hh::CoTask<void> inside =
-        blocking_inside_frame(&ds, keys[0], keys[1], v, &r1, &r2);
+        blocking_inside_frame(&ds, &echo_set.set(), keys[0], keys[1], v, &r1,
+                              &r2);
     ASSERT_TRUE(frame.submit(inside.handle()));
     const std::uint64_t choice = rng.next();
     std::vector<hh::CoTask<bool>> siblings;
     std::vector<int> kinds;
     std::vector<Value> reads(kDepth - 1, 0);
     for (std::uint32_t i = 0; i + 1 < kDepth; ++i) {
-      const Key k = keys[i + 2];
-      const int kind = static_cast<int>((choice >> (i * 2)) & 3);
-      kinds.push_back(kind);
-      switch (kind) {
-        case 0:
-          siblings.push_back(ds.read_co(k, &reads[i], 0));
-          break;
-        case 1:
-          siblings.push_back(ds.insert_co(k, k + 5, 0));
-          break;
-        case 2:
-          siblings.push_back(ds.remove_co(k, 0));
-          break;
-        default:
-          siblings.push_back(ds.update_co(k, k + 11, 0));
-          break;
-      }
+      kinds.push_back(static_cast<int>((choice >> (i * 2)) & 3));
+      siblings.push_back(mixed_op(ds, kinds[i], keys[i + 2], &reads[i]));
     }
     drain_round(frame, siblings);
     ASSERT_TRUE(inside.done());
     inside.result();
+    EXPECT_TRUE(frame.empty());
 
     check_blocking(oracle, keys[0], v, r1);
     check_blocking(oracle, keys[1], v, r2);
     for (std::uint32_t i = 0; i + 1 < kDepth; ++i) {
-      const Key k = keys[i + 2];
-      const bool ok = siblings[i].result();
-      const auto it = oracle.find(k);
-      switch (kinds[i]) {
-        case 0:
-          EXPECT_EQ(ok, it != oracle.end()) << "read key " << k;
-          if (it != oracle.end()) { EXPECT_EQ(reads[i], it->second); }
-          break;
-        case 1:
-          EXPECT_EQ(ok, it == oracle.end()) << "insert key " << k;
-          if (ok) oracle[k] = k + 5;
-          break;
-        case 2:
-          EXPECT_EQ(ok, it != oracle.end()) << "remove key " << k;
-          if (ok) oracle.erase(k);
-          break;
-        default:
-          EXPECT_EQ(ok, it != oracle.end()) << "update key " << k;
-          if (ok) oracle[k] = k + 11;
-          break;
-      }
+      apply_to_oracle(oracle, kinds[i], keys[i + 2], siblings[i].result(),
+                      reads[i]);
     }
   }
-  EXPECT_TRUE(frame.empty());
 }
 
 }  // namespace

@@ -16,11 +16,13 @@
 #include "hybrids/ds/hybrid_skiplist.hpp"
 #include "hybrids/ds/nmp_skiplist.hpp"
 #include "hybrids/ds/seq_skiplist.hpp"
+#include "hybrids/host/interleave.hpp"
 #include "hybrids/nmp/publication.hpp"
 #include "hybrids/telemetry/counters.hpp"
 #include "hybrids/telemetry/registry.hpp"
 
 namespace hd = hybrids::ds;
+namespace hh = hybrids::host;
 namespace nmp = hybrids::nmp;
 namespace tel = hybrids::telemetry;
 using hybrids::Key;
@@ -234,9 +236,9 @@ TEST(NmpSkipListScan, ChunkBoundaryExactlyAtPartitionEdge) {
 }
 
 // Batched combiner passes (key-sorted apply with a traversal finger) must
-// leave each slot's completion intact: point ops posted asynchronously around
-// a blocking scan all return their own results, and the scan sees a
-// consistent ascending slice.
+// leave each slot's completion intact: point ops in flight beside a scan on
+// one frame all return their own results, and the scan sees a consistent
+// ascending slice.
 TEST(NmpSkipListScan, BatchedScansInterleavedWithPointOps) {
   hd::NmpSkipList::Config cfg;
   cfg.total_height = 8;
@@ -250,24 +252,29 @@ TEST(NmpSkipListScan, BatchedScansInterleavedWithPointOps) {
     ASSERT_TRUE(list.insert(k, k, 0));
     oracle[k] = k;
   }
-  // Rounds of: post async point ops (inserts of fresh odd keys + reads),
-  // run a blocking scan while they are in flight, then retrieve. The async
-  // ops and the scan share a combiner pass whenever the timing lines up, so
-  // repeated rounds exercise the batched path; correctness must not depend
-  // on whether a given round actually batched.
+  // Rounds of: a fresh odd-key insert, a read and a scan in flight together
+  // on one frame. The point ops and the scan's chunks share a combiner pass
+  // whenever the timing lines up, so repeated rounds exercise the batched
+  // path; correctness must not depend on whether a given round batched.
   for (Key round = 0; round < 16; ++round) {
     const Key fresh = 2 * round + 1;  // odd: not yet present
-    nmp::OpHandle ins = list.insert_async(fresh, fresh * 7, 0);
-    nmp::OpHandle rd = list.read_async(2 * round, 0);
+    Value read = 0;
     std::vector<ScanEntry> buf(40);
-    const std::size_t n = list.scan(round * 8, buf.size(), buf.data(), 0);
-    nmp::Response ri = list.retrieve(ins);
-    nmp::Response rr = list.retrieve(rd);
-    EXPECT_TRUE(ri.ok) << "fresh insert of " << fresh;
-    EXPECT_TRUE(rr.ok);
-    EXPECT_EQ(rr.value, 2 * round);
+    hh::Frame frame(3);
+    hh::CoTask<bool> ins = list.insert_co(fresh, fresh * 7, 0);
+    hh::CoTask<bool> rd = list.read_co(2 * round, &read, 0);
+    hh::CoTask<std::size_t> sc =
+        list.scan_co(round * 8, buf.size(), buf.data(), 0);
+    ASSERT_TRUE(frame.submit(ins.handle()));
+    ASSERT_TRUE(frame.submit(rd.handle()));
+    ASSERT_TRUE(frame.submit(sc.handle()));
+    frame.drain();
+    const std::size_t n = sc.result();
+    EXPECT_TRUE(ins.result()) << "fresh insert of " << fresh;
+    EXPECT_TRUE(rd.result());
+    EXPECT_EQ(read, 2 * round);
     oracle[fresh] = fresh * 7;
-    // The scan ran concurrently with the two async ops, so its result is
+    // The scan ran concurrently with the two point ops, so its result is
     // some consistent slice: strictly ascending, in-range, and every entry
     // matches a value the key held at some point (all values here are
     // written once, so any returned pair must match the oracle exactly).

@@ -13,9 +13,11 @@
 #include "hybrids/ds/lockfree_skiplist.hpp"
 #include "hybrids/ds/nmp_skiplist.hpp"
 #include "hybrids/ds/seq_skiplist.hpp"
+#include "hybrids/host/interleave.hpp"
 #include "hybrids/util/rng.hpp"
 
 namespace hd = hybrids::ds;
+namespace hh = hybrids::host;
 namespace hu = hybrids::util;
 using hybrids::Key;
 using hybrids::Value;
@@ -312,6 +314,16 @@ hd::NmpSkipList::Config nmp_config(std::uint32_t threads = 4) {
   cfg.max_threads = threads;
   return cfg;
 }
+
+// Runs `ops` through one Frame of `depth` on this thread, submitting each as
+// a slot frees up: the §3.5 pipeline of up to `depth` calls in flight.
+void pipeline(std::vector<hh::CoTask<bool>>& ops, std::uint32_t depth) {
+  hh::Frame frame(depth);
+  for (auto& op : ops) {
+    while (!frame.submit(op.handle())) frame.step();
+  }
+  frame.drain();
+}
 }  // namespace
 
 TEST(NmpSkipList, BasicOps) {
@@ -370,19 +382,10 @@ TEST(NmpSkipList, ConcurrentMixedWorkload) {
 
 TEST(NmpSkipList, AsyncPipeline) {
   hd::NmpSkipList list(nmp_config());
-  std::vector<hybrids::nmp::OpHandle> handles;
-  for (Key k = 0; k < 64; ++k) {
-    auto h = list.insert_async(k * 7, k, 0);
-    if (!h.valid) {
-      ASSERT_FALSE(handles.empty());
-      EXPECT_TRUE(list.retrieve(handles.front()).ok);
-      handles.erase(handles.begin());
-      h = list.insert_async(k * 7, k, 0);
-      ASSERT_TRUE(h.valid);
-    }
-    handles.push_back(h);
-  }
-  for (auto& h : handles) EXPECT_TRUE(list.retrieve(h).ok);
+  std::vector<hh::CoTask<bool>> ops;
+  for (Key k = 0; k < 64; ++k) ops.push_back(list.insert_co(k * 7, k, 0));
+  pipeline(ops, 4);
+  for (auto& op : ops) EXPECT_TRUE(op.result());
   EXPECT_EQ(list.size(), 64u);
 }
 
@@ -511,45 +514,32 @@ TEST(HybridSkipList, ConcurrentMixedWorkload) {
   }
 }
 
-TEST(HybridSkipList, NonBlockingTicketsCompleteCorrectly) {
+TEST(HybridSkipList, NonBlockingCoOpsCompleteCorrectly) {
   hd::HybridSkipList list(hybrid_config());
-  // Insert a batch non-blockingly, draining when slots are exhausted.
-  std::vector<hd::HybridSkipList::Ticket> pending;
-  auto drain_one = [&] {
-    ASSERT_FALSE(pending.empty());
-    EXPECT_TRUE(list.finish(pending.front()));
-    pending.erase(pending.begin());
-  };
-  for (Key k = 1; k <= 200; ++k) {
-    auto t = list.insert_async(k * 11, k, 0);
-    while (t.state == hd::HybridSkipList::Ticket::State::kRejected) {
-      drain_one();
-      t = list.insert_async(k * 11, k, 0);
-    }
-    pending.push_back(t);
-  }
-  while (!pending.empty()) drain_one();
+  // Insert a batch with up to four operations in flight.
+  std::vector<hh::CoTask<bool>> ops;
+  for (Key k = 1; k <= 200; ++k) ops.push_back(list.insert_co(k * 11, k, 0));
+  pipeline(ops, 4);
+  for (auto& op : ops) EXPECT_TRUE(op.result());
   EXPECT_EQ(list.size(), 200u);
   EXPECT_TRUE(list.validate());
 
   // Non-blocking reads return the inserted values.
+  std::vector<Value> values(200, 0);
+  ops.clear();
   for (Key k = 1; k <= 200; ++k) {
-    auto t = list.read_async(k * 11, 0);
-    while (t.state == hd::HybridSkipList::Ticket::State::kRejected) {
-      t = list.read_async(k * 11, 0);
-    }
-    Value v = 0;
-    EXPECT_TRUE(list.finish(t, &v));
-    EXPECT_EQ(v, k);
+    ops.push_back(list.read_co(k * 11, &values[k - 1], 0));
+  }
+  pipeline(ops, 4);
+  for (Key k = 1; k <= 200; ++k) {
+    EXPECT_TRUE(ops[k - 1].result());
+    EXPECT_EQ(values[k - 1], k);
   }
   // Non-blocking removes drain the structure.
-  for (Key k = 1; k <= 200; ++k) {
-    auto t = list.remove_async(k * 11, 0);
-    while (t.state == hd::HybridSkipList::Ticket::State::kRejected) {
-      t = list.remove_async(k * 11, 0);
-    }
-    EXPECT_TRUE(list.finish(t));
-  }
+  ops.clear();
+  for (Key k = 1; k <= 200; ++k) ops.push_back(list.remove_co(k * 11, 0));
+  pipeline(ops, 4);
+  for (auto& op : ops) EXPECT_TRUE(op.result());
   EXPECT_EQ(list.size(), 0u);
 }
 
