@@ -18,6 +18,13 @@
 //
 // Every arm runs kReps timed reps, interleaved rep-major so machine drift
 // hits every arm equally; the table reports each arm's median with its IQR.
+// A read rep replays each thread's probe stream a fixed number of passes,
+// picked once by a calibration phase so that the fastest arm's rep lasts at
+// least kMinReadRepSecs: a single pass is only tens of ms, too short to
+// separate the arms from scheduler noise. The calibration runs for
+// kCalibrationSecs and doubles as a warm-up: on a 4-vCPU VM the first
+// second of reads after the build ran up to 3x slower than the rest.
+//
 // Checksums must agree bit-exactly across every arm and every rep (same
 // residents, same streams) — a mismatch is a correctness bug and exits
 // nonzero, so this bench doubles as an end-to-end cross-layout oracle. The
@@ -25,6 +32,7 @@
 // on — the numbers EXPERIMENTS.md records for the fat-node ablation.
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <iostream>
@@ -52,6 +60,8 @@ using hybrids::bench::now_ns;
 using hybrids::bench::RunResult;
 
 constexpr int kReps = 7;
+constexpr double kMinReadRepSecs = 0.1;
+constexpr double kCalibrationSecs = 2.0;
 
 struct Arm {
   bool fat;
@@ -100,12 +110,13 @@ std::unique_ptr<Index> build_index(std::uint64_t preload) {
   return idx;
 }
 
-/// Timed multi-threaded point reads: thread t replays probes[t]; the found
-/// values fold into the checksum. Mops/s across all threads.
+/// Timed multi-threaded point reads: thread t replays probes[t] `passes`
+/// times; the found values fold into the checksum. Mops/s across all
+/// threads.
 template <class Index>
 RunResult run_reads(Index& idx,
                     const std::vector<std::vector<hybrids::Key>>& probes,
-                    std::uint64_t warmup_per_thread) {
+                    std::uint64_t warmup_per_thread, std::uint32_t passes) {
   const std::uint32_t threads = static_cast<std::uint32_t>(probes.size());
   std::atomic<std::uint64_t> checksum{0};
   std::atomic<std::uint32_t> ready{0};
@@ -124,9 +135,11 @@ RunResult run_reads(Index& idx,
       ready.fetch_add(1);
       while (ready.load() < threads) std::this_thread::yield();
       if (t == 0) t0 = now_ns();
-      for (const hybrids::Key k : mine) {
-        const auto* n = idx.get_node(k);
-        if (n != nullptr) my_sum += n->value_now();
+      for (std::uint32_t pass = 0; pass < passes; ++pass) {
+        for (const hybrids::Key k : mine) {
+          const auto* n = idx.get_node(k);
+          if (n != nullptr) my_sum += n->value_now();
+        }
       }
       checksum.fetch_add(my_sum, std::memory_order_relaxed);
     });
@@ -136,7 +149,7 @@ RunResult run_reads(Index& idx,
   RunResult r;
   std::uint64_t total = 0;
   for (const auto& p : probes) total += p.size();
-  r.mops = static_cast<double>(total) / secs / 1e6;
+  r.mops = static_cast<double>(total * passes) / secs / 1e6;
   r.checksum = checksum.load();
   return r;
 }
@@ -225,18 +238,38 @@ int main(int argc, char** argv) {
                       {true, true}};
   constexpr std::size_t kArms = std::size(arms);
 
-  std::cout << "Ablation: fat-node host index (layout x prefetch)\n\n"
-            << preload << " loaded keys, " << threads << " threads, "
-            << reads_per_thread << " zipfian reads + " << scans_per_thread
-            << " scans of " << opt.scan_max << " per thread, median [IQR] of "
-            << kReps << " reps\n\n";
-
   // One index per layout (prefetch is a per-site runtime toggle, so both
   // prefetch arms share it).
   const std::unique_ptr<hd::LfSkipList> pointer =
       build_index<hd::LfSkipList>(preload);
   const std::unique_ptr<hd::FatSkipList> fat =
       build_index<hd::FatSkipList>(preload);
+
+  // Calibration: single-pass read runs of every arm, round after round, for
+  // kCalibrationSecs; the fastest run sets the pass count that every arm
+  // and every rep then uses, so the checksum gate below stays exact.
+  double fastest_mops = 0;
+  const std::uint64_t calibrate_until =
+      now_ns() + static_cast<std::uint64_t>(kCalibrationSecs * 1e9);
+  while (now_ns() < calibrate_until) {
+    for (const Arm& arm : arms) {
+      hm::set_prefetch_enabled(arm.prefetch);
+      const RunResult r = arm.fat ? run_reads(*fat, probes, warmup, 1)
+                                  : run_reads(*pointer, probes, warmup, 1);
+      fastest_mops = std::max(fastest_mops, r.mops);
+    }
+  }
+  const double pass_secs =
+      static_cast<double>(reads_per_thread * threads) / (fastest_mops * 1e6);
+  const auto read_passes = static_cast<std::uint32_t>(
+      std::max(1.0, std::ceil(kMinReadRepSecs / pass_secs)));
+
+  std::cout << "Ablation: fat-node host index (layout x prefetch)\n\n"
+            << preload << " loaded keys, " << threads << " threads, "
+            << reads_per_thread << " zipfian reads x " << read_passes
+            << " passes + " << scans_per_thread << " scans of "
+            << opt.scan_max << " per thread, median [IQR] of " << kReps
+            << " reps\n\n";
 
   // Checksum parity: identical residents + identical streams, so every arm
   // and every rep must fold to the same sums as the first run.
@@ -247,7 +280,7 @@ int main(int argc, char** argv) {
     for (std::size_t a = 0; a < kArms; ++a) {
       hm::set_prefetch_enabled(arms[a].prefetch);
       const auto measure = [&](auto& idx) {
-        const RunResult rr = run_reads(idx, probes, warmup);
+        const RunResult rr = run_reads(idx, probes, warmup, read_passes);
         const RunResult rs = run_scans(idx, starts, opt.scan_max, warmup);
         return std::pair{rr, rs};
       };

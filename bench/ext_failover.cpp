@@ -6,10 +6,9 @@
 // combiner death would take — trigger_failover drives the identical path, so
 // this works in default (no -DHYBRIDS_FAULTS) builds too.
 //
-// Three timed runs of --duration-ms each:
+// Two timed runs of --duration-ms each:
 //   baseline   no kills (availability reference)
-//   respawn    FailoverPolicy::kRespawn, killer active
-//   host-lease FailoverPolicy::kHostLease, killer active
+//   respawn    killer active: every kill fences, bounces and re-arms
 //
 // Reported per mode: throughput, read-latency p50/p99, kill count, mean
 // detect latency (trigger -> degraded observed), mean and max time-to-recover
@@ -72,8 +71,8 @@ struct ModeResult {
 };
 
 ModeResult run_mode(const hw::WorkloadSpec& spec, std::uint32_t threads,
-                    hn::FailoverPolicy policy, bool kill,
-                    std::uint32_t duration_ms, std::uint32_t kill_every_ms) {
+                    bool kill, std::uint32_t duration_ms,
+                    std::uint32_t kill_every_ms) {
   hw::KeyLayout layout(spec.initial_keys, spec.partitions);
   hd::HybridSkipList::Config cfg;
   int total = 1;
@@ -89,7 +88,6 @@ ModeResult run_mode(const hw::WorkloadSpec& spec, std::uint32_t threads,
   cfg.watchdog_interval_ms = 2;
   cfg.watchdog_misses_to_degrade = 2;
   cfg.watchdog_misses_to_recover = 2;
-  cfg.failover = policy;
   hd::HybridSkipList list(cfg);
   for (hybrids::Key k : layout.initial_key_set()) (void)list.insert(k, k, 0);
   hn::PartitionSet& set = list.partition_set();
@@ -231,22 +229,17 @@ int main(int argc, char** argv) {
 
   struct Mode {
     const char* name;
-    hn::FailoverPolicy policy;
     bool kill;
   };
-  const Mode modes[] = {
-      {"baseline", hn::FailoverPolicy::kRespawn, false},
-      {"respawn", hn::FailoverPolicy::kRespawn, true},
-      {"host-lease", hn::FailoverPolicy::kHostLease, true},
-  };
+  const Mode modes[] = {{"baseline", false}, {"respawn", true}};
 
   hybrids::util::Table table({"mode", "Mops/s", "p50 us", "p99 us", "avail",
                               "kills", "recovered", "detect ms", "recover ms",
                               "max rec ms", "bounced"});
   double baseline_mops = 0;
   for (const Mode& m : modes) {
-    const ModeResult r = run_mode(spec, threads, m.policy, m.kill,
-                                  opt.duration_ms, opt.kill_every_ms);
+    const ModeResult r =
+        run_mode(spec, threads, m.kill, opt.duration_ms, opt.kill_every_ms);
     if (!m.kill) baseline_mops = r.mops;
     double detect = 0, recover = 0, max_recover = 0;
     std::uint32_t recovered = 0;

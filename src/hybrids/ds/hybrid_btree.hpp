@@ -63,7 +63,6 @@ class HybridBTree {
     std::uint32_t watchdog_interval_ms = 10;
     std::uint32_t watchdog_misses_to_degrade = 5;
     std::uint32_t watchdog_misses_to_recover = 3;
-    nmp::FailoverPolicy failover = nmp::FailoverPolicy::kRespawn;
     // Host-side hot-key cache: one byte budget split between the value tier
     // (reads served without touching the tree) and the shortcut tier
     // (begin-subtree refs + their offloaded parent seqnums, skipping the
@@ -578,7 +577,6 @@ class HybridBTree {
     pc.watchdog_interval_ms = c.watchdog_interval_ms;
     pc.watchdog_misses_to_degrade = c.watchdog_misses_to_degrade;
     pc.watchdog_misses_to_recover = c.watchdog_misses_to_recover;
-    pc.failover = c.failover;
     return pc;
   }
 

@@ -101,7 +101,6 @@ class HybridSkipList {
     std::uint32_t watchdog_interval_ms = 10;
     std::uint32_t watchdog_misses_to_degrade = 5;
     std::uint32_t watchdog_misses_to_recover = 3;
-    nmp::FailoverPolicy failover = nmp::FailoverPolicy::kRespawn;
 
     int host_height() const { return total_height - nmp_height; }
   };
@@ -748,7 +747,6 @@ class HybridSkipList {
     pc.watchdog_interval_ms = c.watchdog_interval_ms;
     pc.watchdog_misses_to_degrade = c.watchdog_misses_to_degrade;
     pc.watchdog_misses_to_recover = c.watchdog_misses_to_recover;
-    pc.failover = c.failover;
     return pc;
   }
 

@@ -44,7 +44,6 @@ class NmpSkipList {
     std::uint32_t watchdog_interval_ms = 10;
     std::uint32_t watchdog_misses_to_degrade = 5;
     std::uint32_t watchdog_misses_to_recover = 3;
-    nmp::FailoverPolicy failover = nmp::FailoverPolicy::kRespawn;
     // Host-side hot-key cache budget in bytes (0 = off). The NMP-only
     // skiplist gets the value tier only: its combiner always descends from
     // the partition head sentinel, so a cached begin-node shortcut has
@@ -319,14 +318,15 @@ class NmpSkipList {
   /// Publication round-trip that absorbs failover bounces: a failed_over
   /// response means the request was not served (the lane was fenced before
   /// a combiner picked it up, or bounced in flight), so re-post until a live
-  /// combiner — or a lease-holding host — serves it.
+  /// combiner serves it.
   host::CoTask<nmp::Response> call_retry_co(std::uint32_t p, std::uint32_t tid,
                                             nmp::Request r) {
     while (true) {
       nmp::Response resp = co_await host::offload(set_, p, tid, r);
       if (!resp.failed_over) co_return resp;
-      // No cached value survives a bounced partition: the takeover path may
-      // have served writes this host never saw acks for.
+      // No cached value survives a bounced partition (conservative: a
+      // failover is rare, and a fresh generation needs no reasoning about
+      // what the fenced pass applied).
       if (cache_ != nullptr) cache_->bump_generation(p);
       std::this_thread::yield();
     }
@@ -345,7 +345,6 @@ class NmpSkipList {
     pc.watchdog_interval_ms = c.watchdog_interval_ms;
     pc.watchdog_misses_to_degrade = c.watchdog_misses_to_degrade;
     pc.watchdog_misses_to_recover = c.watchdog_misses_to_recover;
-    pc.failover = c.failover;
     return pc;
   }
 

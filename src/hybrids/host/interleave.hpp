@@ -300,7 +300,7 @@ inline SuspendUntilDone suspend_until_done(nmp::PartitionSet& set,
 /// driving this thread (a blocking call through run_inline) it is the plain
 /// blocking PartitionSet::call. Under a Frame it posts async and parks on
 /// the slot, falling back to call() when no async slot is free or the lane
-/// is fenced/leased (call() owns the bounce/lease handling). kPublish/kWake
+/// is fenced (call() owns the bounce). kPublish/kWake
 /// spans are recorded by call_async/retrieve exactly as by call().
 inline CoTask<nmp::Response> offload(nmp::PartitionSet& set, std::uint32_t p,
                                      std::uint32_t tid, nmp::Request req) {

@@ -126,9 +126,11 @@ bool CombinerPool::serve_core(Worker& w, std::size_t index,
   const std::uint64_t epoch = c.armed_.load(std::memory_order_acquire);
   if (epoch != c.fence_.load(std::memory_order_acquire)) return false;
   if (!c.try_acquire_pass()) {
-    // Another holder (a lease driver backing off a re-armed core) has the
-    // token for a moment: keep the core due so the next round retries it
-    // instead of leaving its posts to the waiting host's kick.
+    // Another holder has the token for a moment: the thread a rearm just
+    // moved this core away from, which took the token before re-checking
+    // bell_ below and is about to back off. Keep the core due so the next
+    // round retries it instead of leaving its posts to the waiting host's
+    // kick.
     seen = kNever;
     return false;
   }

@@ -46,7 +46,7 @@ namespace hybrids::nmp::fault {
 ///  * kCombinerAbort    — the pool permanently stops serving the partition
 ///                        at the top of a pass, before touching any slot
 ///                        (dead NMP core; exercises the failover
-///                        supervisor: fence, bounce, re-arm/lease).
+///                        supervisor: fence, bounce, re-arm).
 ///  * kCombinerWedge    — sticky variant of kCombinerStall: at the top of a
 ///                        pass the pool thread sleeps holding the
 ///                        partition's pass token, serving nothing, until

@@ -93,23 +93,6 @@ bool NmpCore::try_seize() {
   return try_acquire_pass();
 }
 
-std::uint32_t NmpCore::drive_pass() {
-  if (!try_acquire_pass()) return 0;
-  // The lease driver runs under the *current* epoch: the fence only moves
-  // when the supervisor hands ownership over, and the supervisor must hold
-  // this token to do that. A core armed at that epoch is the pool's again
-  // (the supervisor handed the lane back after this host checked it):
-  // stand down.
-  const std::uint64_t epoch = fence_.load(std::memory_order_acquire);
-  if (armed_.load(std::memory_order_acquire) == epoch) {
-    release_pass();
-    return 0;
-  }
-  const std::uint32_t served = scan_and_serve(epoch);
-  release_pass();
-  return served;
-}
-
 void NmpCore::wait_done(std::uint32_t index) {
   // Unbounded overall, but composed of bounded windows so a lost doorbell is
   // recovered instead of hanging the host thread forever.

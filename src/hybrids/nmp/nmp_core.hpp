@@ -6,12 +6,12 @@
 // partition's publication list and its combiner pass (scan_and_serve); the
 // threads that run those passes belong to a CombinerPool
 // (combiner_pool.hpp), which serves many partitions with a few threads, as
-// a few server cores serve many clients. Whoever runs a pass — a pool
-// thread, or a host thread under a failover lease — first takes the
-// partition's pass token, so exactly one thread ever touches
-// partition-local nodes at a time and partition-local code is
-// single-threaded by construction: the property the hybrid algorithms rely
-// on (§3.2).
+// a few server cores serve many clients. A pool thread takes the
+// partition's pass token for the whole pass, and the failover supervisor
+// takes it before it touches a fenced partition's slots, so exactly one
+// thread ever touches partition-local nodes at a time and partition-local
+// code is single-threaded by construction: the property the hybrid
+// algorithms rely on (§3.2).
 #pragma once
 
 #include <atomic>
@@ -78,7 +78,7 @@ class NmpCore {
   std::uint32_t slot_count() const { return static_cast<std::uint32_t>(slots_.size()); }
 
   /// Direct slot access; slot ownership/assignment policy lives with the
-  /// caller (see PartitionSet / SlotPool).
+  /// caller (see PartitionSet::thread_base).
   PubSlot& slot(std::uint32_t index) { return *slots_[index]; }
 
   /// Host side: publish `r` into slot `index` and ring the serving pool
@@ -112,9 +112,8 @@ class NmpCore {
   // kPending -> kDone CAS (already-run ops are still answered, but a reply
   // to a slot some new owner has reclaimed is rejected). The supervisor
   // then seizes the pass token (try_seize), bounces still-kPending slots
-  // with failed_over responses, and either re-arms the core on the pool
-  // (CombinerPool::rearm) or releases the token to host threads that drive
-  // passes themselves via drive_pass() (host-takeover lease).
+  // with failed_over responses, and re-arms the core on the pool
+  // (CombinerPool::rearm), which releases the token.
 
   /// Raises the fence epoch (disarming the core) and kicks its pool thread
   /// so a wedge it holds observes the fence. Safe from any thread; only the
@@ -142,20 +141,10 @@ class NmpCore {
   }
 
   /// Takes the pass token of a disarmed core. On success the caller is the
-  /// partition's sole server — no pool thread or lease driver can run a
-  /// pass — until it hands the core back through CombinerPool::rearm() or
-  /// unseize(). Fails while the core is armed or a pass is in flight.
+  /// partition's sole writer — no pool thread can run a pass — until it
+  /// hands the core back through CombinerPool::rearm(). Fails while the
+  /// core is armed or a pass is in flight.
   bool try_seize();
-  /// Releases a token taken by try_seize() without re-arming the core
-  /// (the lease handoff: host threads then drive passes via drive_pass()).
-  void unseize() { busy_.store(false, std::memory_order_release); }
-
-  /// Runs one full scan-and-serve pass on the *calling* thread under the
-  /// current fence epoch (host-takeover lease), if the pass token is free.
-  /// The pass runs the handlers, so it holds the token throughout. Returns
-  /// the number of requests served (0 also when the token was busy or the
-  /// core is armed on the pool again).
-  std::uint32_t drive_pass();
 
   /// Failover accounting: credit `n` supervisor-bounced slots as served so
   /// the watchdog's posted-vs-served progress check re-converges (bounced

@@ -56,7 +56,6 @@ PartitionSet::PartitionSet(const PartitionConfig& config) : config_(config) {
   batch_handlers_.resize(config_.partitions);
   async_busy_.assign(config_.partitions, std::vector<std::uint8_t>(slots, 0));
   watch_.assign(config_.partitions, WatchState{});
-  degraded_ = std::make_unique<std::atomic<bool>[]>(config_.partitions);
   lane_ = std::make_unique<std::atomic<std::uint8_t>[]>(config_.partitions);
   force_failover_ = std::make_unique<std::atomic<bool>[]>(config_.partitions);
   failovers_ =
@@ -64,7 +63,6 @@ PartitionSet::PartitionSet(const PartitionConfig& config) : config_(config) {
   recoveries_ =
       std::make_unique<std::atomic<std::uint64_t>[]>(config_.partitions);
   for (std::uint32_t p = 0; p < config_.partitions; ++p) {
-    degraded_[p].store(false, std::memory_order_relaxed);
     lane_[p].store(kHealthy, std::memory_order_relaxed);
     force_failover_[p].store(false, std::memory_order_relaxed);
     failovers_[p].store(0, std::memory_order_relaxed);
@@ -126,7 +124,6 @@ void PartitionSet::start() {
   if (started_) return;
   started_ = true;
   for (std::uint32_t p = 0; p < config_.partitions; ++p) {
-    degraded_[p].store(false, std::memory_order_relaxed);
     lane_[p].store(kHealthy, std::memory_order_relaxed);
     force_failover_[p].store(false, std::memory_order_relaxed);
   }
@@ -173,9 +170,9 @@ void PartitionSet::watchdog_loop() {
 //
 // Stall/progress semantics (this is the watchdog-flap fix): the miss counter
 // saturates instead of relying on exact equality, and neither it nor the
-// degraded flag is cleared by an *idle* interval — a wedged-but-unposted
+// degraded state is cleared by an *idle* interval — a wedged-but-unposted
 // combiner must not read healthy. Only observed served() progress clears
-// misses, and the degraded flag clears only after
+// misses, and a recovering lane re-integrates only after
 // watchdog_misses_to_recover consecutive progressing intervals.
 void PartitionSet::supervise(std::uint32_t p) {
   NmpCore& core = *cores_[p];
@@ -194,72 +191,35 @@ void PartitionSet::supervise(std::uint32_t p) {
   const bool forced =
       force_failover_[p].exchange(false, std::memory_order_acq_rel);
   const LaneState state = lane(p);
-  switch (state) {
-    case kHealthy:
-    case kDegraded:
-    case kRecovering: {
-      w.last_served = served;  // recover() re-baselines after a bounce
-      if ((outstanding && !progressed) || dead || forced) {
-        // Missed heartbeat: re-wake the combiner (recovers lost wakeups and
-        // nudges a descheduled thread) and escalate once the saturating miss
-        // counter crosses the threshold (or a test forced the failover).
-        watchdog_fired_[p]->inc();
-        core.kick();
-        w.clean = 0;  // a stall breaks any consecutive-progress streak
-        if (w.misses != ~0u) ++w.misses;
-        if (forced || w.misses >= config_.watchdog_misses_to_degrade) {
-          if (state == kHealthy) {
-            degraded_[p].store(true, std::memory_order_release);
-            degraded_counter_[p]->inc();
-            lane_[p].store(kDegraded, std::memory_order_release);
-          }
-          if (config_.failover != FailoverPolicy::kNone) fence(p);
-        }
-      } else if (progressed) {
-        w.misses = 0;
-        if (state != kHealthy &&
-            ++w.clean >= config_.watchdog_misses_to_recover) {
-          // Hysteresis met: re-integrate. (kDegraded reaches here only
-          // under kNone, where the lane is never fenced.)
-          w.clean = 0;
-          lane_[p].store(kHealthy, std::memory_order_release);
-          degraded_[p].store(false, std::memory_order_release);
-          recovered_counter_[p]->inc();
-          recoveries_[p].fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-      break;
+  if (state == kFenced) {
+    // Waiting for the zombie to unwind; retry the reap every tick.
+    recover(p);
+    return;
+  }
+  w.last_served = served;  // recover() re-baselines after a bounce
+  if ((outstanding && !progressed) || dead || forced) {
+    // Missed heartbeat: re-wake the combiner (recovers lost wakeups and
+    // nudges a descheduled thread) and escalate once the saturating miss
+    // counter crosses the threshold (or a test forced the failover).
+    watchdog_fired_[p]->inc();
+    core.kick();
+    w.clean = 0;  // a stall breaks any consecutive-progress streak
+    if (w.misses != ~0u) ++w.misses;
+    if (forced || w.misses >= config_.watchdog_misses_to_degrade) {
+      if (state == kHealthy) degraded_counter_[p]->inc();
+      fence(p);
     }
-    case kFenced:
-      // Waiting for the zombie to unwind; retry the reap every tick.
-      recover(p);
-      break;
-    case kLeased: {
-      w.last_served = served;
-      if (progressed) {
-        w.misses = 0;
-        // Hand the lane back to the pool. Seizing the pass token means no
-        // host is mid-drive; the lane flips before the re-arm, so hosts
-        // stop driving, and one that checked the lane just before takes
-        // the token, finds the core armed and stands down (drive_pass).
-        // If a host holds it now, retry next tick (the streak is kept).
-        // The lane stays degraded (kRecovering) until the pool proves
-        // itself too.
-        if (++w.clean >= config_.watchdog_misses_to_recover &&
-            core.try_seize()) {
-          w.clean = 0;
-          lane_[p].store(kRecovering, std::memory_order_release);
-          pool_->rearm(p, stuck_after());
-          break;
-        }
-      }
-      // Serve orphan posts (a post that landed between the bounce sweep and
-      // its thread observing the lease) and keep an idle leased lane live.
-      // Note a leased lane is never re-fenced: no pool thread serves it,
-      // and the supervisor never blocks on a token a stuck host handler
-      // may hold.
-      core.drive_pass();
-      break;
+  } else if (progressed) {
+    w.misses = 0;
+    if (state == kRecovering &&
+        ++w.clean >= config_.watchdog_misses_to_recover) {
+      // Hysteresis met: re-integrate. The counts go before the lane's
+      // release store, so a caller that reads degraded() == false also
+      // reads this recovery.
+      w.clean = 0;
+      recovered_counter_[p]->inc();
+      recoveries_[p].fetch_add(1, std::memory_order_relaxed);
+      lane_[p].store(kHealthy, std::memory_order_release);
     }
   }
 }
@@ -291,13 +251,8 @@ void PartitionSet::recover(std::uint32_t p) {
   WatchState& w = watch_[p];
   w.misses = 0;
   w.clean = 0;
-  if (config_.failover == FailoverPolicy::kHostLease) {
-    core.unseize();
-    lane_[p].store(kLeased, std::memory_order_release);
-  } else {
-    lane_[p].store(kRecovering, std::memory_order_release);
-    pool_->rearm(p, stuck_after());
-  }
+  lane_[p].store(kRecovering, std::memory_order_release);
+  pool_->rearm(p, stuck_after());
   // Progress baseline restarts from the post-bounce count, so the bounce
   // credit itself cannot masquerade as served progress next tick.
   w.last_served = core.served();
@@ -333,20 +288,12 @@ Response PartitionSet::call(std::uint32_t p, std::uint32_t thread_id,
   NmpCore& core = *cores_[p];
   const std::uint32_t slot = thread_base(thread_id);
   calls_blocking_->inc();
-  // Failover paths. A fenced lane has no server at all: bounce immediately
-  // rather than posting into a dead publication list (the host never blocks
-  // on a fenced partition). A leased lane is served by whichever host holds
-  // the lease — including, if need be, us. The lane can still flip right
-  // after this check; in-flight posts caught by a fence are bounced by the
-  // supervisor sweep, so every path converges to a failed_over response.
-  switch (lane(p)) {
-    case kFenced:
-      return bounce_response(p, r);
-    case kLeased:
-      return call_leased(p, slot, r);
-    default:
-      break;
-  }
+  // A fenced lane has no server at all: bounce immediately rather than
+  // posting into a dead publication list (the host never blocks on a fenced
+  // partition). The lane can still flip right after this check; a post
+  // caught by a fence is answered by the fenced pass or bounced by the
+  // supervisor sweep, so the wait below always ends.
+  if (lane(p) == kFenced) return bounce_response(p, r);
   const auto part = static_cast<std::int16_t>(p);
   const auto op = static_cast<std::uint8_t>(r.op);
   const std::uint64_t t0 = r.trace_id ? telemetry::now_ns() : 0;
@@ -373,40 +320,11 @@ Response PartitionSet::bounce_response(std::uint32_t p, const Request& r) {
   return resp;
 }
 
-Response PartitionSet::call_leased(std::uint32_t p, std::uint32_t slot,
-                                   const Request& r) {
-  NmpCore& core = *cores_[p];
-  const auto part = static_cast<std::int16_t>(p);
-  const auto op = static_cast<std::uint8_t>(r.op);
-  const std::uint64_t t0 = r.trace_id ? telemetry::now_ns() : 0;
-  core.post(slot, r);
-  trace::record_span(r.trace_id, trace::Phase::kPublish, t0,
-                     r.trace_id ? telemetry::now_ns() : 0, op, part);
-  PubSlot& s = core.slot(slot);
-  // Host takeover: drive combiner passes ourselves, each under the pass
-  // token, until our response lands. The pass serves every pending slot,
-  // ours included, so concurrent leased callers make progress for each
-  // other. If the supervisor hands the lane back to the pool meanwhile (it
-  // seizes the token for that), fall back to the ordinary bounded wait.
-  while (!s.done()) {
-    if (lane(p) != kLeased) {
-      core.wait_done(slot);
-      break;
-    }
-    if (core.drive_pass() == 0) std::this_thread::yield();
-  }
-  trace::record_span(r.trace_id, trace::Phase::kWake, s.done_ns,
-                     r.trace_id ? telemetry::now_ns() : 0, op, part);
-  return s.take();
-}
-
 OpHandle PartitionSet::call_async(std::uint32_t p, std::uint32_t thread_id,
                                   const Request& r) {
-  // No async path across a failover: a fenced lane has no server and a
-  // leased lane would require the poller to drive passes. Callers fall back
-  // to the blocking call, which bounces or leases as appropriate.
-  const LaneState ls = lane(p);
-  if (ls == kFenced || ls == kLeased) {
+  // No async post into a fenced lane, which has no server. Callers fall
+  // back to the blocking call, which bounces.
+  if (lane(p) == kFenced) {
     async_rejected_->inc();
     return OpHandle{};
   }

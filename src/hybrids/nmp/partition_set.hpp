@@ -16,22 +16,6 @@
 
 namespace hybrids::nmp {
 
-/// What the supervisor does once a partition crosses the degrade threshold
-/// (see PartitionSet::watchdog_loop for the full lane state machine).
-enum class FailoverPolicy : std::uint8_t {
-  /// Mark degraded only; no fencing or recovery (pre-failover behavior).
-  kNone,
-  /// Fence the lane, bounce in-flight slots with failed_over responses, and
-  /// re-arm the partition on the combiner pool (on a live pool thread if
-  /// its old one is wedged; see CombinerPool::rearm). Default.
-  kRespawn,
-  /// Fence and bounce as above, but instead of re-arming immediately, host
-  /// threads temporarily drive combiner passes themselves under the
-  /// partition's pass token; the partition is re-armed on the pool once the
-  /// lane has shown `watchdog_misses_to_recover` progressing intervals.
-  kHostLease,
-};
-
 /// Configuration for a PartitionSet. `slots_per_thread` bounds the number of
 /// in-flight non-blocking calls a single host thread may have against one
 /// partition (the paper's hybrid-nonblocking4 uses 4); the resulting
@@ -52,11 +36,12 @@ enum class FailoverPolicy : std::uint8_t {
 /// `watchdog_misses_to_degrade` consecutive missed heartbeats (the counter
 /// saturates and is sticky across idle intervals — only observed progress
 /// clears it) the partition is marked degraded (`partition_degraded`,
-/// queryable via degraded()) and, under a non-kNone failover policy, fenced
-/// and recovered. The degraded flag clears only after
+/// queryable via degraded()), fenced, its in-flight slots bounced, and it is
+/// re-armed on the pool. It stays degraded until
 /// `watchdog_misses_to_recover` consecutive *progressing* intervals
 /// (hysteresis — an idle partition cannot prove liveness, so it stays
-/// degraded until traffic shows progress).
+/// degraded until traffic shows progress). With the watchdog disabled there
+/// is no failover either.
 struct PartitionConfig {
   std::uint32_t partitions = 8;
   std::uint32_t max_threads = 8;
@@ -66,7 +51,6 @@ struct PartitionConfig {
   std::uint32_t watchdog_interval_ms = 10;    // 0 disables the watchdog
   std::uint32_t watchdog_misses_to_degrade = 5;
   std::uint32_t watchdog_misses_to_recover = 3;
-  FailoverPolicy failover = FailoverPolicy::kRespawn;
 };
 
 /// Identifies one in-flight non-blocking NMP call.
@@ -120,17 +104,17 @@ class PartitionSet {
   /// served() progress for watchdog_misses_to_degrade consecutive intervals
   /// with requests outstanding) until the supervisor has re-integrated it:
   /// `watchdog_misses_to_recover` consecutive progressing intervals after
-  /// recovery (hysteresis). Sticky while the partition is idle.
-  bool degraded(std::uint32_t p) const {
-    return degraded_[p].load(std::memory_order_acquire);
-  }
+  /// recovery (hysteresis). Sticky while the partition is idle. A caller
+  /// that reads false also sees the recoveries() count of that
+  /// re-integration.
+  bool degraded(std::uint32_t p) const { return lane(p) != kHealthy; }
 
   /// Forces the failover path on partition `p`: the next watchdog tick
-  /// treats it as having crossed the degrade threshold (under kNone it is
-  /// only marked degraded). Safe from any thread; used by kill-recover
-  /// tests and the availability bench — it exercises the exact fence/
-  /// bounce/recover machinery a real combiner death would, without needing
-  /// the fault injector compiled in. No-op while the watchdog is disabled.
+  /// treats it as having crossed the degrade threshold. Safe from any
+  /// thread; used by kill-recover tests and the availability bench — it
+  /// exercises the exact fence/bounce/recover machinery a real combiner
+  /// death would, without needing the fault injector compiled in. No-op
+  /// while the watchdog is disabled.
   void trigger_failover(std::uint32_t p) {
     force_failover_[p].store(true, std::memory_order_release);
   }
@@ -177,24 +161,16 @@ class PartitionSet {
   }
 
   // Failover lane state machine, advanced only by the watchdog thread
-  // (supervisor); host threads read it to pick a call path. Transitions:
-  //   kHealthy -> kDegraded           degrade threshold crossed
-  //   kDegraded -> kFenced            policy != kNone: fence epoch raised
-  //   kFenced -> kRecovering          pass token seized, slots bounced,
-  //                                   partition re-armed on the pool
-  //                                   (kRespawn)
-  //   kFenced -> kLeased              pass token seized, slots bounced,
-  //                                   token released to hosts, who drive
-  //                                   passes (kHostLease)
-  //   kLeased -> kRecovering          hysteresis met: token seized from the
-  //                                   hosts, partition re-armed on the pool
-  //   kRecovering -> kHealthy         hysteresis met: degraded_ cleared
-  //   kRecovering/kLeased -> kFenced  stalled again: re-failover
+  // (supervisor); host threads read it to decide whether to bounce.
+  // Every lane but kHealthy reads as degraded(). Transitions:
+  //   kHealthy/kRecovering -> kFenced  degrade threshold crossed: fence
+  //                                    epoch raised
+  //   kFenced -> kRecovering           pass token seized, slots bounced,
+  //                                    partition re-armed on the pool
+  //   kRecovering -> kHealthy          hysteresis met: re-integrated
   enum LaneState : std::uint8_t {
     kHealthy = 0,
-    kDegraded,
     kFenced,
-    kLeased,
     kRecovering,
   };
 
@@ -208,8 +184,7 @@ class PartitionSet {
   /// Fences partition `p` and moves its lane to kFenced.
   void fence(std::uint32_t p);
   /// kFenced tick: seize the pass token once the fenced pass (if any) has
-  /// finished, bounce in-flight slots, hand the lane back to the pool
-  /// (kRespawn) or to the hosts (kHostLease).
+  /// finished, bounce in-flight slots, re-arm the partition on the pool.
   void recover(std::uint32_t p);
   /// Completes every still-kPending slot of `p` with a failed_over response.
   /// Only legal while holding the partition's seized pass token.
@@ -220,9 +195,6 @@ class PartitionSet {
     return std::chrono::milliseconds(config_.watchdog_interval_ms) *
            config_.watchdog_misses_to_degrade;
   }
-  /// Blocking call against a leased lane: post, then drive combiner passes
-  /// (each under the pass token) until the response lands.
-  Response call_leased(std::uint32_t p, std::uint32_t slot, const Request& r);
   /// Builds the immediate failed_over response used when a call arrives at
   /// a fenced lane (fast bounce: nothing is posted, so the host never waits
   /// on a dead combiner).
@@ -239,8 +211,8 @@ class PartitionSet {
   std::vector<std::vector<std::uint8_t>> async_busy_;
   bool started_ = false;
 
-  // Watchdog thread state. `degraded_` is written by the watchdog and read
-  // by any thread; the per-core progress snapshots are watchdog-private.
+  // Watchdog thread state. `lane_` is written by the watchdog and read by
+  // any thread; the per-core progress snapshots are watchdog-private.
   std::thread watchdog_;
   std::mutex watchdog_mu_;
   std::condition_variable watchdog_cv_;
@@ -251,7 +223,6 @@ class PartitionSet {
     std::uint32_t clean = 0;   // consecutive progressing intervals (hysteresis)
   };
   std::vector<WatchState> watch_;
-  std::unique_ptr<std::atomic<bool>[]> degraded_;
   std::unique_ptr<std::atomic<std::uint8_t>[]> lane_;   // LaneState per part.
   std::unique_ptr<std::atomic<bool>[]> force_failover_; // trigger_failover()
   std::unique_ptr<std::atomic<std::uint64_t>[]> failovers_;

@@ -164,8 +164,8 @@ struct BatchOp {
 /// dead combiner's behalf, writing a bounce response with `failed_over` set
 /// ("not applied; retry elsewhere"). This is safe against the zombie only
 /// because the supervisor first raises the fence epoch and then *seizes*
-/// the partition's pass token (NmpCore::try_seize), which no pool thread or
-/// lease driver can hold at the same time — once seized there is exactly
+/// the partition's pass token (NmpCore::try_seize), which no pool thread
+/// can hold at the same time — once seized there is exactly
 /// one writer again. A combiner that outlived its fence (a false
 /// positive: it was slow, not dead) detects the stale epoch in complete()
 /// and switches from a blind kDone store to a kPending -> kDone CAS: ops it

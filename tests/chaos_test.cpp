@@ -19,7 +19,7 @@
 //  * spurious_lock_path  — the LOCK_PATH fallback tolerates escalations the
 //                          NMP side has no record of.
 //  * combiner_abort      — a dead combiner is fenced, its in-flight slots
-//                          bounced, and the lane respawned or host-leased
+//                          bounced, and the lane re-armed on the pool
 //                          (kill-recover scenarios at the bottom).
 //  * combiner_wedge      — same, against a wedged-but-alive combiner that
 //                          only exits once it observes the fence.
@@ -177,7 +177,6 @@ struct FailoverTuning {
   std::uint32_t interval_ms = 2;
   std::uint32_t degrade = 2;
   std::uint32_t recover = 2;
-  nmp::FailoverPolicy policy = nmp::FailoverPolicy::kRespawn;
 };
 
 /// Pumps `op` until every partition reports healthy at the same time. The
@@ -226,7 +225,6 @@ void run_skiplist_chaos(const fault::Config& fc, std::uint32_t ops_per_thread,
     cfg.watchdog_interval_ms = ft->interval_ms;
     cfg.watchdog_misses_to_degrade = ft->degrade;
     cfg.watchdog_misses_to_recover = ft->recover;
-    cfg.failover = ft->policy;
   }
   ds::HybridSkipList list(cfg);
 
@@ -451,7 +449,6 @@ void run_btree_chaos(const fault::Config& fc, std::uint32_t ops_per_thread,
     cfg.watchdog_interval_ms = ft->interval_ms;
     cfg.watchdog_misses_to_degrade = ft->degrade;
     cfg.watchdog_misses_to_recover = ft->recover;
-    cfg.failover = ft->policy;
   }
   ds::HybridBTree tree(cfg, keys, values);
 
@@ -594,7 +591,7 @@ TEST(ChaosBTree, AllFaultKindsTogether) {
 // ---------------------------------------------------------------------------
 // Kill-recover: combiners die (kCombinerAbort) or wedge permanently
 // (kCombinerWedge) and the failover supervisor must fence the lane, bounce
-// in-flight slots, respawn (or lease to the hosts), and re-integrate under
+// in-flight slots, re-arm it on the pool, and re-integrate under
 // the hysteresis gate — while the oracle stays exact. A bounced op is
 // retried by the host, never lost, and never double-applied, even when the
 // watchdog false-positive-fences a live-but-descheduled combiner (common
@@ -617,14 +614,6 @@ TEST(ChaosSkipList, KillRecoverCombinerWedge) {
       /*ops_per_thread=*/800, &ft);
 }
 
-TEST(ChaosSkipList, KillRecoverHostLeaseTakeover) {
-  FailoverTuning ft;
-  ft.policy = nmp::FailoverPolicy::kHostLease;
-  run_skiplist_chaos(
-      one_kind(chaos_seed(), fault::Kind::kCombinerAbort, 0.004),
-      /*ops_per_thread=*/800, &ft);
-}
-
 TEST(ChaosBTree, KillRecoverCombinerAbort) {
   FailoverTuning ft;
   run_btree_chaos(one_kind(chaos_seed(), fault::Kind::kCombinerAbort, 0.004),
@@ -634,13 +623,6 @@ TEST(ChaosBTree, KillRecoverCombinerAbort) {
 TEST(ChaosBTree, KillRecoverCombinerWedge) {
   FailoverTuning ft;
   run_btree_chaos(one_kind(chaos_seed(), fault::Kind::kCombinerWedge, 0.004),
-                  /*ops_per_thread=*/800, &ft);
-}
-
-TEST(ChaosBTree, KillRecoverHostLeaseTakeover) {
-  FailoverTuning ft;
-  ft.policy = nmp::FailoverPolicy::kHostLease;
-  run_btree_chaos(one_kind(chaos_seed(), fault::Kind::kCombinerAbort, 0.004),
                   /*ops_per_thread=*/800, &ft);
 }
 

@@ -3,8 +3,9 @@
 // frame drain on exception and on NMP-requested retries, suspension across a
 // publication wait with a stalled combiner, oracle-exact interleaved runs at
 // depth 8 (the configuration the TSan CI job hammers), _co ops across a
-// partition failover, and the inline runs behind the blocking entry points:
-// no suspension into an enclosing frame, no async publication slots.
+// partition failover and on a fenced lane, and the inline runs behind the
+// blocking entry points: no suspension into an enclosing frame, no async
+// publication slots.
 #include <gtest/gtest.h>
 
 #include "hybrids/host/interleave.hpp"
@@ -690,114 +691,194 @@ std::uint64_t total_failovers(hn::PartitionSet& set) {
 
 }  // namespace
 
-// A fenced lane rejects call_async (and, under kHostLease, so does a leased
-// one), so host::offload falls back to the blocking call inside a frame
-// while its siblings stay parked; a bounce mid-flight comes back
-// failed_over and the op's retry loop re-posts. Each round runs two
+// A fenced lane rejects call_async, so host::offload falls back to the
+// blocking call inside a frame while its siblings stay parked; a bounce
+// mid-flight comes back failed_over and the op's retry loop re-posts. Each round runs two
 // HybridSkipList and two HybridBTree _co ops (distinct keys) in one
 // Frame(4) while trigger_failover fences partitions of both structures; the
 // std::map oracles stay exact and every frame drains.
 TEST(InterleaveFailover, CoOpsStayExactAcrossFailover) {
-  for (const hn::FailoverPolicy policy :
-       {hn::FailoverPolicy::kRespawn, hn::FailoverPolicy::kHostLease}) {
-    SCOPED_TRACE(policy == hn::FailoverPolicy::kRespawn ? "kRespawn"
-                                                         : "kHostLease");
-    hd::HybridSkipList::Config lcfg;
-    lcfg.total_height = 8;
-    lcfg.nmp_height = 4;
-    lcfg.partitions = 4;
-    lcfg.partition_width = 64;
-    lcfg.max_threads = 1;
-    lcfg.slots_per_thread = 4;
-    lcfg.watchdog_interval_ms = 2;
-    lcfg.watchdog_misses_to_degrade = 2;
-    lcfg.watchdog_misses_to_recover = 2;
-    lcfg.failover = policy;
-    hd::HybridSkipList list(lcfg);
+  hd::HybridSkipList::Config lcfg;
+  lcfg.total_height = 8;
+  lcfg.nmp_height = 4;
+  lcfg.partitions = 4;
+  lcfg.partition_width = 64;
+  lcfg.max_threads = 1;
+  lcfg.slots_per_thread = 4;
+  lcfg.watchdog_interval_ms = 2;
+  lcfg.watchdog_misses_to_degrade = 2;
+  lcfg.watchdog_misses_to_recover = 2;
+  hd::HybridSkipList list(lcfg);
 
-    std::vector<Key> keys;
-    std::vector<Value> vals;
-    std::map<Key, Value> tree_oracle;
-    for (Key k = 0; k < 1024; k += 2) {
-      keys.push_back(k);
-      vals.push_back(k * 7);
-      tree_oracle[k] = k * 7;
-    }
-    hd::HybridBTree::Config tcfg;
-    tcfg.nmp_levels = 2;
-    tcfg.partitions = 4;
-    tcfg.max_threads = 1;
-    tcfg.slots_per_thread = 4;
-    tcfg.watchdog_interval_ms = 2;
-    tcfg.watchdog_misses_to_degrade = 2;
-    tcfg.watchdog_misses_to_recover = 2;
-    tcfg.failover = policy;
-    hd::HybridBTree tree(tcfg, keys, vals);
-    std::map<Key, Value> list_oracle;
+  std::vector<Key> keys;
+  std::vector<Value> vals;
+  std::map<Key, Value> tree_oracle;
+  for (Key k = 0; k < 1024; k += 2) {
+    keys.push_back(k);
+    vals.push_back(k * 7);
+    tree_oracle[k] = k * 7;
+  }
+  hd::HybridBTree::Config tcfg;
+  tcfg.nmp_levels = 2;
+  tcfg.partitions = 4;
+  tcfg.max_threads = 1;
+  tcfg.slots_per_thread = 4;
+  tcfg.watchdog_interval_ms = 2;
+  tcfg.watchdog_misses_to_degrade = 2;
+  tcfg.watchdog_misses_to_recover = 2;
+  hd::HybridBTree tree(tcfg, keys, vals);
+  std::map<Key, Value> list_oracle;
 
-    hybrids::util::Xoshiro256 rng(policy == hn::FailoverPolicy::kRespawn ? 23
-                                                                          : 29);
-    tel::Counter& rejected = tel::counter(tel::names::kAsyncRejected);
-    const std::uint64_t rejected0 = rejected.value();
-    hh::Frame frame(4);
-    constexpr int kKills = 6;
-    for (int kill = 0; kill < kKills; ++kill) {
-      hn::PartitionSet& target =
-          kill % 2 == 0 ? list.partition_set() : tree.partition_set();
-      const std::uint64_t failovers0 = total_failovers(target);
-      target.trigger_failover(static_cast<std::uint32_t>(kill) % 4);
-      // Keep the frame busy until the watchdog has fenced the lane, then for
-      // a few more rounds while it recovers.
-      const auto deadline =
-          std::chrono::steady_clock::now() + std::chrono::seconds(5);
-      int rounds_after = 0;
-      while (rounds_after < 20 && std::chrono::steady_clock::now() < deadline) {
-        if (total_failovers(target) > failovers0) ++rounds_after;
-        const std::uint64_t choice = rng.next();
-        // Two distinct skiplist keys and two distinct tree keys per round.
-        const Key lbase = static_cast<Key>(rng.next() % 128) * 2;
-        const Key tbase = static_cast<Key>(rng.next() % 600) * 2;
-        const Key ks[4] = {lbase, lbase + 1, tbase, tbase + 1};
-        int kinds[4];
-        Value reads[4] = {};
-        std::vector<hh::CoTask<bool>> tasks;
-        for (int i = 0; i < 4; ++i) {
-          kinds[i] = static_cast<int>((choice >> (i * 2)) & 3);
-          tasks.push_back(i < 2 ? mixed_op(list, kinds[i], ks[i], &reads[i])
-                                : mixed_op(tree, kinds[i], ks[i], &reads[i]));
-        }
-        drain_round(frame, tasks);
-        ASSERT_TRUE(frame.empty());
-        for (int i = 0; i < 4; ++i) {
-          apply_to_oracle(i < 2 ? list_oracle : tree_oracle, kinds[i], ks[i],
-                          tasks[i].result(), reads[i]);
-        }
+  hybrids::util::Xoshiro256 rng(23);
+  hh::Frame frame(4);
+  constexpr int kKills = 6;
+  for (int kill = 0; kill < kKills; ++kill) {
+    hn::PartitionSet& target =
+        kill % 2 == 0 ? list.partition_set() : tree.partition_set();
+    const std::uint64_t failovers0 = total_failovers(target);
+    target.trigger_failover(static_cast<std::uint32_t>(kill) % 4);
+    // Keep the frame busy until the watchdog has fenced the lane, then for
+    // a few more rounds while it recovers.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    int rounds_after = 0;
+    while (rounds_after < 20 && std::chrono::steady_clock::now() < deadline) {
+      if (total_failovers(target) > failovers0) ++rounds_after;
+      const std::uint64_t choice = rng.next();
+      // Two distinct skiplist keys and two distinct tree keys per round.
+      const Key lbase = static_cast<Key>(rng.next() % 128) * 2;
+      const Key tbase = static_cast<Key>(rng.next() % 600) * 2;
+      const Key ks[4] = {lbase, lbase + 1, tbase, tbase + 1};
+      int kinds[4];
+      Value reads[4] = {};
+      std::vector<hh::CoTask<bool>> tasks;
+      for (int i = 0; i < 4; ++i) {
+        kinds[i] = static_cast<int>((choice >> (i * 2)) & 3);
+        tasks.push_back(i < 2 ? mixed_op(list, kinds[i], ks[i], &reads[i])
+                              : mixed_op(tree, kinds[i], ks[i], &reads[i]));
       }
-      EXPECT_GT(total_failovers(target), failovers0)
-          << "kill " << kill << " never fenced its partition";
+      drain_round(frame, tasks);
+      ASSERT_TRUE(frame.empty());
+      for (int i = 0; i < 4; ++i) {
+        apply_to_oracle(i < 2 ? list_oracle : tree_oracle, kinds[i], ks[i],
+                        tasks[i].result(), reads[i]);
+      }
     }
+    EXPECT_GT(total_failovers(target), failovers0)
+        << "kill " << kill << " never fenced its partition";
+  }
 
-    if (tel::kEnabled && policy == hn::FailoverPolicy::kHostLease) {
-      // A leased lane stays leased for several watchdog intervals, so some
-      // of the frame's posts met it and took the blocking fallback.
+  for (const auto& [k, v] : list_oracle) {
+    Value out = 0;
+    ASSERT_TRUE(list.read(k, out, 0)) << "skiplist key " << k;
+    EXPECT_EQ(out, v);
+  }
+  for (const auto& [k, v] : tree_oracle) {
+    Value out = 0;
+    ASSERT_TRUE(tree.read(k, out, 0)) << "tree key " << k;
+    EXPECT_EQ(out, v);
+  }
+  EXPECT_EQ(list.size(), list_oracle.size());
+  EXPECT_EQ(tree.size(), tree_oracle.size());
+  EXPECT_TRUE(list.validate());
+  EXPECT_TRUE(tree.validate());
+}
+
+namespace {
+
+// One round trip of `key` to partition 0 through host::offload.
+hh::CoTask<hn::Response> offload_key(hn::PartitionSet* set, Key key) {
+  hn::Request r;
+  r.op = hn::OpCode::kUpdate;
+  r.key = key;
+  co_return co_await hh::offload(*set, 0, 0, r);
+}
+
+template <typename Pred>
+bool wait_until(Pred pred) {
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!pred()) {
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  return true;
+}
+
+}  // namespace
+
+// An offload inside a frame that meets a fenced lane: call_async rejects,
+// and the blocking fallback bounces at once instead of waiting on the
+// wedged combiner, so the op is done after one step, failed_over. Its
+// sibling, parked on the same lane since before the fence, gets its real
+// reply once the handler returns: the fenced pass already ran it.
+TEST(InterleaveFailover, OffloadOnFencedLaneBouncesWithoutBlocking) {
+  hn::PartitionConfig cfg;
+  cfg.partitions = 1;
+  cfg.max_threads = 1;
+  cfg.slots_per_thread = 2;
+  cfg.partition_width = 1000;
+  cfg.watchdog_interval_ms = 2;
+  cfg.watchdog_misses_to_degrade = 2;
+  cfg.watchdog_misses_to_recover = 2;
+  hn::PartitionSet set(cfg);
+  std::atomic<bool> wedge{true};
+  std::atomic<bool> in_handler{false};
+  set.set_handler(0, [&](const hn::Request& rq, hn::Response& rs) {
+    in_handler.store(true, std::memory_order_release);
+    while (wedge.load(std::memory_order_acquire)) {
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+    }
+    rs.ok = true;
+    rs.value = static_cast<Value>(rq.key);
+  });
+  set.start();
+  // Safety valve: if the fallback ever blocked on the wedged lane, release
+  // the handler after a while so the test fails instead of hanging.
+  std::jthread valve([&](std::stop_token stop) {
+    (void)wait_until([&] { return stop.stop_requested(); });
+    wedge.store(false, std::memory_order_release);
+  });
+  tel::Counter& rejected = tel::counter(tel::names::kAsyncRejected);
+  EchoSet echo_set;
+  {
+    // An op alone in its frame does not park, so the sibling parks beside a
+    // round trip on an open EchoSet, which then finishes.
+    hh::Frame frame(2);
+    hh::CoTask<hn::Response> sibling = offload_key(&set, 5);
+    hh::CoTask<Value> filler = echo(&echo_set.set(), 1);
+    ASSERT_TRUE(frame.submit(sibling.handle()));
+    ASSERT_TRUE(frame.submit(filler.handle()));
+    while (!filler.done()) frame.step();
+    EXPECT_EQ(filler.result(), 1u);
+    ASSERT_FALSE(sibling.done());
+    ASSERT_TRUE(wait_until([&] { return in_handler.load(); }));
+    // The wedged pass holds the pass token, so the supervisor cannot reap
+    // it: the lane stays fenced until the handler is released.
+    set.trigger_failover(0);
+    ASSERT_TRUE(wait_until([&] { return set.failovers(0) >= 1; }));
+
+    const std::uint64_t rejected0 = rejected.value();
+    hh::CoTask<hn::Response> fenced = offload_key(&set, 7);
+    ASSERT_TRUE(frame.submit(fenced.handle()));
+    frame.step();  // the sibling is still parked: this runs `fenced`
+    ASSERT_TRUE(fenced.done());
+    EXPECT_TRUE(wedge.load()) << "the fallback waited for the handler";
+    EXPECT_TRUE(fenced.result().failed_over);
+    EXPECT_FALSE(sibling.done());
+    if (tel::kEnabled) {
       EXPECT_GT(rejected.value(), rejected0);
     }
 
-    for (const auto& [k, v] : list_oracle) {
-      Value out = 0;
-      ASSERT_TRUE(list.read(k, out, 0)) << "skiplist key " << k;
-      EXPECT_EQ(out, v);
-    }
-    for (const auto& [k, v] : tree_oracle) {
-      Value out = 0;
-      ASSERT_TRUE(tree.read(k, out, 0)) << "tree key " << k;
-      EXPECT_EQ(out, v);
-    }
-    EXPECT_EQ(list.size(), list_oracle.size());
-    EXPECT_EQ(tree.size(), tree_oracle.size());
-    EXPECT_TRUE(list.validate());
-    EXPECT_TRUE(tree.validate());
+    wedge.store(false, std::memory_order_release);
+    frame.drain();
+    const hn::Response reply = sibling.result();
+    EXPECT_TRUE(reply.ok);
+    EXPECT_FALSE(reply.failed_over);
+    EXPECT_EQ(reply.value, 5u);
   }
+  valve.request_stop();
+  valve.join();
+  set.stop();
 }
 
 // ---------- blocking entry points: the _co bodies run inline ----------

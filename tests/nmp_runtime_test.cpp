@@ -340,9 +340,6 @@ TEST(PartitionSet, WatchdogDegradesStalledPartitionAndRecovers) {
   cfg.watchdog_interval_ms = 2;
   cfg.watchdog_misses_to_degrade = 3;
   cfg.watchdog_misses_to_recover = 2;
-  // kNone isolates the degraded-mark semantics from fencing/recovery (those
-  // have their own tests below).
-  cfg.failover = hn::FailoverPolicy::kNone;
   hn::PartitionSet set(cfg);
   std::atomic<bool> release{false};
   set.set_handler(0, [&](const hn::Request&, hn::Response& resp) {
@@ -358,7 +355,8 @@ TEST(PartitionSet, WatchdogDegradesStalledPartitionAndRecovers) {
   hn::OpHandle h = set.call_async(0, 0, r);
   ASSERT_TRUE(h.valid);
   // The stalled handler blocks served() progress with an outstanding post;
-  // after misses_to_degrade watchdog intervals the partition must be marked.
+  // after misses_to_degrade watchdog intervals the partition must be marked
+  // (and fenced).
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(5);
   while (!set.degraded(0) && std::chrono::steady_clock::now() < deadline) {
@@ -366,22 +364,25 @@ TEST(PartitionSet, WatchdogDegradesStalledPartitionAndRecovers) {
   }
   EXPECT_TRUE(set.degraded(0));
 
-  // Unwedge and drain the stalled op.
+  // Unwedge and drain the stalled op: the fenced pass already ran it, so it
+  // still delivers the real reply.
   release.store(true, std::memory_order_release);
   EXPECT_TRUE(set.retrieve(h).ok);
 
-  // The mark is sticky while the partition is idle: one progressing
-  // interval (the drained op) is below the hysteresis threshold, and idle
-  // intervals must not count as clean. No flap back to healthy.
+  // The mark is sticky while the partition is idle: the supervisor re-arms
+  // the lane, but idle intervals must not count as clean. No flap back to
+  // healthy.
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   EXPECT_TRUE(set.degraded(0));
 
   // Only sustained progress re-integrates: pump traffic until the watchdog
-  // has seen misses_to_recover consecutive progressing intervals.
+  // has seen misses_to_recover consecutive progressing intervals. A call
+  // that lands before the supervisor has re-armed the lane bounces.
   const auto recover_deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(5);
   while (set.degraded(0) && std::chrono::steady_clock::now() < recover_deadline) {
-    EXPECT_TRUE(set.call(0, 0, r).ok);
+    const hn::Response resp = set.call(0, 0, r);
+    EXPECT_TRUE(resp.ok || resp.failed_over);
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   EXPECT_FALSE(set.degraded(0));
@@ -491,8 +492,7 @@ struct WedgeableSet {
   std::atomic<bool> in_handler{false};
   hn::PartitionSet set;
 
-  explicit WedgeableSet(hn::FailoverPolicy policy)
-      : set(config(policy)) {
+  WedgeableSet() : set(config()) {
     set.set_handler(0, [this](const hn::Request& req, hn::Response& resp) {
       in_handler.store(true, std::memory_order_release);
       while (wedge.load(std::memory_order_acquire)) {
@@ -504,7 +504,7 @@ struct WedgeableSet {
     set.start();
   }
 
-  static hn::PartitionConfig config(hn::FailoverPolicy policy) {
+  static hn::PartitionConfig config() {
     hn::PartitionConfig cfg;
     cfg.partitions = 1;
     cfg.max_threads = 2;
@@ -513,7 +513,6 @@ struct WedgeableSet {
     cfg.watchdog_interval_ms = 2;
     cfg.watchdog_misses_to_degrade = 2;
     cfg.watchdog_misses_to_recover = 2;
-    cfg.failover = policy;
     return cfg;
   }
 };
@@ -530,7 +529,7 @@ bool wait_for(Pred pred, std::chrono::seconds limit = std::chrono::seconds(5)) {
 }  // namespace
 
 TEST(PartitionSet, FailoverRespawnsAndBouncesInFlight) {
-  WedgeableSet w(hn::FailoverPolicy::kRespawn);
+  WedgeableSet w;
   hn::PartitionSet& set = w.set;
 
   // Wedge the combiner inside a handler with an op in flight.
@@ -579,57 +578,6 @@ TEST(PartitionSet, FailoverRespawnsAndBouncesInFlight) {
     return !set.degraded(0);
   }));
   EXPECT_GE(set.recoveries(0), 1u);
-  set.stop();
-}
-
-TEST(PartitionSet, HostLeaseServesUnderFence) {
-  WedgeableSet w(hn::FailoverPolicy::kHostLease);
-  hn::PartitionSet& set = w.set;
-
-  w.wedge.store(true, std::memory_order_release);
-  hn::Request r;
-  r.key = 41;
-  hn::OpHandle h = set.call_async(0, 0, r);
-  ASSERT_TRUE(h.valid);
-  ASSERT_TRUE(wait_for([&] { return w.in_handler.load(std::memory_order_acquire); }));
-
-  // A second, never-picked-up op that must be bounced under the fence.
-  hn::Request r2;
-  r2.key = 43;
-  hn::OpHandle h2 = set.call_async(0, 1, r2);
-  ASSERT_TRUE(h2.valid);
-
-  set.trigger_failover(0);
-  ASSERT_TRUE(wait_for([&] { return set.failovers(0) >= 1; }));
-
-  // Release the zombie so the supervisor can reap and hand the lane to the
-  // hosts. The op the zombie already ran is delivered; the pending one is
-  // bounced.
-  w.wedge.store(false, std::memory_order_release);
-  hn::Response done = set.retrieve(h);
-  EXPECT_TRUE(done.ok);
-  EXPECT_FALSE(done.failed_over);
-  EXPECT_TRUE(set.retrieve(h2).failed_over);
-
-  // Under the lease, host threads drive combiner passes themselves: calls
-  // are served (not bounced) even though no pool thread serves the lane.
-  ASSERT_TRUE(wait_for([&] {
-    hn::Response resp = set.call(0, 1, r);
-    return !resp.failed_over && resp.ok && resp.value == r.key + 1;
-  }));
-
-  // Sustained progress re-spawns a combiner under the lease lock and then
-  // clears the mark.
-  ASSERT_TRUE(wait_for([&] {
-    (void)set.call(0, 0, r);
-    return !set.degraded(0);
-  }));
-  EXPECT_GE(set.recoveries(0), 1u);
-
-  // Fully healthy again: a plain blocking call round-trips via the combiner.
-  hn::Response resp = set.call(0, 0, r);
-  EXPECT_TRUE(resp.ok);
-  EXPECT_FALSE(resp.failed_over);
   set.stop();
 
   if constexpr (ht::kEnabled) {
@@ -1030,68 +978,64 @@ TEST(CombinerPool, DefaultSizeLeavesCoresToHosts) {
 
 TEST(CombinerPool, SingleOwnerPerPartitionWithSharedThreads) {
   // Two threads serve eight partitions while hosts hammer them with blocking
-  // and async calls and the supervisor fences partitions (re-arming them on
-  // the pool, or leasing them to the hosts): no handler may ever be entered
-  // concurrently on the same partition.
+  // and async calls and the supervisor fences partitions and re-arms them on
+  // the pool: no handler may ever be entered concurrently on the same
+  // partition.
   constexpr std::uint32_t kParts = 8;
   constexpr std::uint32_t kHosts = 4;
-  for (const hn::FailoverPolicy policy :
-       {hn::FailoverPolicy::kRespawn, hn::FailoverPolicy::kHostLease}) {
-    hn::PartitionConfig cfg = pool_config(kParts, 2, kHosts);
-    cfg.watchdog_interval_ms = 2;
-    cfg.watchdog_misses_to_degrade = 2;
-    cfg.watchdog_misses_to_recover = 2;
-    cfg.failover = policy;
-    hn::PartitionSet set(cfg);
-    std::vector<std::atomic<int>> inside(kParts);
-    std::atomic<bool> overlapped{false};
-    std::atomic<std::uint64_t> applied{0};
-    for (std::uint32_t p = 0; p < kParts; ++p) {
-      set.set_handler(p, [&, p](const hn::Request& req, hn::Response& resp) {
-        if (inside[p].fetch_add(1) != 0) overlapped.store(true);
-        for (int spin = 0; spin < 50; ++spin) {
-          if (inside[p].load() != 1) overlapped.store(true);
-        }
-        inside[p].fetch_sub(1);
-        applied.fetch_add(1);
-        resp.ok = true;
-        resp.value = req.key + 1;
-      });
-    }
-    set.start();
-    EXPECT_EQ(set.combiner_threads(), 2u);
-    std::atomic<std::uint64_t> answered{0};
-    std::atomic<bool> wrong{false};
-    std::vector<std::thread> hosts;
-    for (std::uint32_t t = 0; t < kHosts; ++t) {
-      hosts.emplace_back([&, t] {
-        for (std::uint32_t i = 0; i < 1500; ++i) {
-          hn::Request r;
-          r.key = static_cast<hn::Key>((i * 7 + t * 131) % (kParts * 1000));
-          const std::uint32_t p = set.partition_of(r.key);
-          hn::Response resp;
-          if (i % 2 == 0) {
-            resp = set.call(p, t, r);
-          } else {
-            hn::OpHandle h = set.call_async(p, t, r);
-            resp = h.valid ? set.retrieve(h) : set.call(p, t, r);
-          }
-          if (resp.failed_over) continue;  // bounced: never applied
-          if (!resp.ok || resp.value != r.key + 1) wrong.store(true);
-          answered.fetch_add(1);
-        }
-      });
-    }
-    for (std::uint32_t k = 0; k < 6; ++k) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-      set.trigger_failover((k * 3) % kParts);
-    }
-    for (auto& h : hosts) h.join();
-    set.stop();
-    EXPECT_FALSE(overlapped.load()) << "policy " << static_cast<int>(policy);
-    EXPECT_FALSE(wrong.load());
-    EXPECT_EQ(answered.load(), applied.load());
+  hn::PartitionConfig cfg = pool_config(kParts, 2, kHosts);
+  cfg.watchdog_interval_ms = 2;
+  cfg.watchdog_misses_to_degrade = 2;
+  cfg.watchdog_misses_to_recover = 2;
+  hn::PartitionSet set(cfg);
+  std::vector<std::atomic<int>> inside(kParts);
+  std::atomic<bool> overlapped{false};
+  std::atomic<std::uint64_t> applied{0};
+  for (std::uint32_t p = 0; p < kParts; ++p) {
+    set.set_handler(p, [&, p](const hn::Request& req, hn::Response& resp) {
+      if (inside[p].fetch_add(1) != 0) overlapped.store(true);
+      for (int spin = 0; spin < 50; ++spin) {
+        if (inside[p].load() != 1) overlapped.store(true);
+      }
+      inside[p].fetch_sub(1);
+      applied.fetch_add(1);
+      resp.ok = true;
+      resp.value = req.key + 1;
+    });
   }
+  set.start();
+  EXPECT_EQ(set.combiner_threads(), 2u);
+  std::atomic<std::uint64_t> answered{0};
+  std::atomic<bool> wrong{false};
+  std::vector<std::thread> hosts;
+  for (std::uint32_t t = 0; t < kHosts; ++t) {
+    hosts.emplace_back([&, t] {
+      for (std::uint32_t i = 0; i < 1500; ++i) {
+        hn::Request r;
+        r.key = static_cast<hn::Key>((i * 7 + t * 131) % (kParts * 1000));
+        const std::uint32_t p = set.partition_of(r.key);
+        hn::Response resp;
+        if (i % 2 == 0) {
+          resp = set.call(p, t, r);
+        } else {
+          hn::OpHandle h = set.call_async(p, t, r);
+          resp = h.valid ? set.retrieve(h) : set.call(p, t, r);
+        }
+        if (resp.failed_over) continue;  // bounced: never applied
+        if (!resp.ok || resp.value != r.key + 1) wrong.store(true);
+        answered.fetch_add(1);
+      }
+    });
+  }
+  for (std::uint32_t k = 0; k < 6; ++k) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    set.trigger_failover((k * 3) % kParts);
+  }
+  for (auto& h : hosts) h.join();
+  set.stop();
+  EXPECT_FALSE(overlapped.load());
+  EXPECT_FALSE(wrong.load());
+  EXPECT_EQ(answered.load(), applied.load());
 }
 
 TEST(CombinerPool, StopDrainsEveryPartition) {
@@ -1136,7 +1080,6 @@ TEST(CombinerPool, StuckHandlerDoesNotStrandSiblingPartitions) {
   cfg.watchdog_interval_ms = 2;
   cfg.watchdog_misses_to_degrade = 2;
   cfg.watchdog_misses_to_recover = 2;
-  cfg.failover = hn::FailoverPolicy::kRespawn;
   hn::PartitionSet set(cfg);
   std::atomic<bool> stuck{true};
   std::atomic<bool> entered{false};
@@ -1204,7 +1147,6 @@ TEST(CombinerPool, IdleServerDeathIsFencedWithoutTraffic) {
   cfg.watchdog_interval_ms = 2;
   cfg.watchdog_misses_to_degrade = 2;
   cfg.watchdog_misses_to_recover = 2;
-  cfg.failover = hn::FailoverPolicy::kRespawn;
   hn::PartitionSet set(cfg);
   for (std::uint32_t p = 0; p < 2; ++p) {
     set.set_handler(p, [](const hn::Request&, hn::Response& resp) {
